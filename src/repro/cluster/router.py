@@ -44,7 +44,7 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.rng import DEFAULT_SEED
 from repro.service.client import ServiceClient
-from repro.service.http import ClosingHTTPServer, ServiceRequestHandler
+from repro.service.http import ClosingHTTPServer, Reply, ServiceRequestHandler
 from repro.units import KiB
 from repro.version import __version__
 
@@ -506,27 +506,22 @@ class RouterRequestHandler(ServiceRequestHandler):
     def _router(self) -> Router:
         return self.server.router
 
-    def _handle_run(self) -> None:
+    def _run_reply(self) -> Reply:
         try:
             experiment_id, seed = self._run_params()
             reply = self._router.route(experiment_id, seed)
         except ConfigError as exc:
-            self._error(400, str(exc))
+            return 400, {"error": str(exc)}, None
         except ServiceError as exc:
             if exc.status == 503:
                 hint = exc.retry_after_s
                 headers = ({"Retry-After": f"{hint:g}"}
                            if hint is not None else None)
-                self._reply(503, {"error": str(exc),
-                                  "retry_after_s": hint}, headers=headers)
-            elif exc.status is not None:
-                self._error(exc.status, str(exc))
-            else:
-                self._error(502, str(exc))
+                return 503, {"error": str(exc), "retry_after_s": hint}, headers
+            return exc.status or 502, {"error": str(exc)}, None
         except ReproError as exc:
-            self._error(500, str(exc))
-        else:
-            self._reply(200, reply)
+            return 500, {"error": str(exc)}, None
+        return 200, reply, None
 
     def _handle_invalidate(self) -> None:
         try:

@@ -36,6 +36,7 @@ from repro.service.core import ExperimentService, ServiceConfig
 from repro.service.http import (
     MAX_BODY_BYTES,
     ExperimentHTTPServer,
+    Reply,
     ServiceRequestHandler,
 )
 from repro.version import __version__
@@ -61,26 +62,28 @@ class ShardRequestHandler(ServiceRequestHandler):
         leaving the POST body unread would make the *next* request on
         this keep-alive connection parse those bytes as a request line.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self.content_length or 0
         if length > MAX_BODY_BYTES:
             self.close_connection = True
         elif length:
             self.rfile.read(length)
 
-    def _handle_run(self) -> None:
+    def _run_reply(self) -> Reply:
         gate = self._gate
         if not gate.admit():
             self._drain_body()
             hint = gate.policy.retry_after_s
-            self._reply(503, {
+            return 503, {
                 "error": f"shard {self._shard_name} overloaded "
                          f"(queue depth >= {gate.policy.max_queue_depth})",
                 "shard": self._shard_name,
                 "retry_after_s": hint,
-            }, headers={"Retry-After": f"{hint:g}"})
-            return
+            }, {"Retry-After": f"{hint:g}"}
+        # The slot frees as soon as the service returns, before the
+        # reply is written: a client that reads /stats right after its
+        # reply must not find its own request still queued.
         try:
-            super()._handle_run()
+            return super()._run_reply()
         finally:
             gate.release()
 

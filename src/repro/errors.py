@@ -104,6 +104,20 @@ class ServiceError(ReproError):
         self.retry_after_s = retry_after_s
 
 
+class ProtocolError(ReproError):
+    """A message on the serving wire breaks its HTTP/1.1 subset.
+
+    ``status`` is the reply a server sends for it: 400 for a malformed
+    line or ``Content-Length``, 431 past the line or header-count limit,
+    501 for a transfer coding.  A client treats every one of them as a
+    transport failure.
+    """
+
+    def __init__(self, message: str, *, status: int = 400) -> None:
+        super().__init__(message)
+        self.status = status
+
+
 class CodecError(ReproError):
     """Binary result codec failure (truncated, corrupt, or foreign bytes)."""
 

@@ -11,8 +11,15 @@ deterministic-backoff retry loop (re-using
 a dead server surfaces as a prompt :class:`~repro.errors.ServiceError`
 instead of hanging the CLI forever.
 
+The client owns its socket and speaks the wire subset described in
+:mod:`repro.service.http`: each request leaves in one write, and the
+reply's status line, head (through the shared
+:func:`~repro.service.http.read_head`) and ``Content-Length``-framed
+body are read off one buffered reader per connection.
+
 Retry semantics: transport-level failures (connection refused or reset,
-timeouts, a torn keep-alive connection) drop the connection and retry
+timeouts, a torn keep-alive connection, a reply that breaks the wire
+subset) drop the connection and retry
 with ``RetryPolicy.backoff_s``'s jitter-free schedule; an HTTP 503 shed
 reply honours the server's ``Retry-After`` hint (capped) before
 retrying; any other HTTP error is not retried — the server answered,
@@ -27,16 +34,16 @@ fan-out.
 
 from __future__ import annotations
 
-import http.client
 import json
 import socket
 import threading
 import time
+from typing import BinaryIO
 
-from repro.errors import ConfigError, ServiceError
+from repro.errors import ConfigError, ProtocolError, ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.rng import DEFAULT_SEED
-from repro.service.http import DEFAULT_PORT
+from repro.service.http import DEFAULT_PORT, MAX_LINE_BYTES, read_head
 
 #: Establishing the TCP connection: fail fast, the server is local/near.
 DEFAULT_CONNECT_TIMEOUT_S = 5.0
@@ -54,12 +61,45 @@ def base_url(host: str = "127.0.0.1", port: int = DEFAULT_PORT) -> str:
     return f"http://{host}:{port}"
 
 
-def _hangup(conn: http.client.HTTPConnection) -> None:
-    """Best-effort close of a (possibly torn) connection."""
+def _hangup(sock: socket.SocketType, reader: BinaryIO) -> None:
+    """Best-effort close of a (possibly torn) connection and its reader."""
     try:
-        conn.close()
+        reader.close()
+        sock.close()
     except OSError:  # pragma: no cover - close is best-effort
         pass
+
+
+def _round_trip(sock: socket.SocketType, reader: BinaryIO, message: bytes
+                ) -> tuple[int, dict[str, str], bytes, bool]:
+    """One request/reply on an established connection (no retries).
+
+    Returns the status, head fields and body, and whether the server
+    closes the connection after this reply.  Raises
+    :class:`~repro.errors.ProtocolError` on EOF, a malformed status line
+    or head, a reply not framed by ``Content-Length``, or a body cut
+    short.
+    """
+    sock.sendall(message)
+    line = reader.readline(MAX_LINE_BYTES + 1)
+    if not line:
+        raise ProtocolError("connection closed before the reply")
+    version, _, rest = line.partition(b" ")
+    code = rest[:3]
+    if (len(line) > MAX_LINE_BYTES or version not in (b"HTTP/1.1", b"HTTP/1.0")
+            or not code.isdigit() or rest[3:4] not in (b" ", b"\r", b"\n")):
+        raise ProtocolError(f"malformed status line {line[:40]!r}")
+    fields, length = read_head(reader)
+    if length is None:
+        raise ProtocolError("reply is not framed by Content-Length")
+    body = reader.read(length)
+    if len(body) != length:
+        raise ProtocolError(
+            f"reply body cut short at {len(body)} of {length} bytes")
+    connection = fields.get("connection", "").lower()
+    closing = connection == "close" or (
+        version == b"HTTP/1.0" and connection != "keep-alive")
+    return int(code), fields, body, closing
 
 
 class ServiceClient:
@@ -87,37 +127,35 @@ class ServiceClient:
         self.read_timeout_s = read_timeout_s
         self.retry = retry
         self._lock = threading.Lock()
-        self._conn: http.client.HTTPConnection | None = None  # gl: guarded-by=_lock
+        #: The kept-alive socket and its buffered reader, or None.
+        self._conn: tuple[socket.socket, BinaryIO] | None = None  # gl: guarded-by=_lock
         self._connects = 0  # gl: guarded-by=_lock
         self._retries = 0  # gl: guarded-by=_lock
 
     # -- connection management ---------------------------------------------------
 
-    def _dial(self) -> http.client.HTTPConnection:
-        """A fresh connected keep-alive connection (no state writes)."""
-        conn = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.connect_timeout_s)
+    def _dial(self) -> tuple[socket.socket, BinaryIO]:
+        """A fresh connection and its buffered reader (no state writes)."""
+        sock = socket.create_connection((self.host, self.port),
+                                        timeout=self.connect_timeout_s)
+        reader = sock.makefile("rb")
         try:
-            conn.connect()
-            if conn.sock is not None:
-                # The connect timeout bounded establishment; from here on
-                # the socket waits for replies, which may be slow computes.
-                conn.sock.settimeout(self.read_timeout_s)
-                # Nagle + delayed ACK stalls the second small write of a
-                # request (body after headers) on a keep-alive connection
-                # by ~40 ms; flush segments immediately instead.
-                conn.sock.setsockopt(socket.IPPROTO_TCP,
-                                     socket.TCP_NODELAY, 1)
-        except Exception:
-            _hangup(conn)
+            # The connect timeout bounded establishment; from here on
+            # the socket waits for replies, which may be slow computes.
+            sock.settimeout(self.read_timeout_s)
+            # Nagle + delayed ACK would hold a small request until the
+            # ACK of the previous reply arrives (~40 ms on keep-alive).
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except BaseException:
+            _hangup(sock, reader)
             raise
-        return conn
+        return sock, reader
 
     def close(self) -> None:
         """Close the underlying connection (the client stays usable)."""
         with self._lock:
             if self._conn is not None:
-                _hangup(self._conn)
+                _hangup(*self._conn)
                 self._conn = None
 
     def __enter__(self) -> "ServiceClient":
@@ -128,23 +166,16 @@ class ServiceClient:
 
     # -- transport ---------------------------------------------------------------
 
-    @staticmethod
-    def _round_trip(conn: http.client.HTTPConnection, method: str, path: str,
-                    payload: bytes | None) -> tuple[int, str | None, bytes,
-                                                    bool]:
-        """One request/reply on an established connection (no retries).
-
-        The trailing bool reports whether the server is closing the
-        connection (the caller must then drop it from the pool).
-        """
-        headers = {"Accept": "application/json"}
-        if payload is not None:
-            headers["Content-Type"] = "application/json"
-        conn.request(method, path, body=payload, headers=headers)
-        reply = conn.getresponse()
-        raw = reply.read()
-        retry_after = reply.getheader("Retry-After")
-        return reply.status, retry_after, raw, reply.will_close
+    def _encode(self, method: str, path: str, payload: bytes | None) -> bytes:
+        """The whole request — line, head and body — as one write."""
+        head = (f"{method} {path} HTTP/1.1\r\n"
+                f"Host: {self.host}:{self.port}\r\n"
+                "Accept: application/json\r\n")
+        if payload is None:
+            return (head + "\r\n").encode("latin-1")
+        return (head + "Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n").encode(
+                    "latin-1") + payload
 
     def _decode(self, status: int, raw: bytes, url: str,
                 retry_after: str | None = None) -> dict:
@@ -173,20 +204,21 @@ class ServiceClient:
         """
         payload = json.dumps(body).encode() if body is not None else None
         method = method or ("POST" if payload is not None else "GET")
+        message = self._encode(method, path, payload)
         url = f"{base_url(self.host, self.port)}{path}"
         with self._lock:
             for attempt in range(1, self.retry.max_attempts + 1):
                 last = attempt == self.retry.max_attempts
+                # Any failure drops the connection: a reply read half-way
+                # leaves it out of step with the next request.
+                drop = True
                 try:
                     if self._conn is None:
                         self._conn = self._dial()
                         self._connects += 1
-                    status, retry_after, raw, will_close = self._round_trip(
-                        self._conn, method, path, payload)
-                except (OSError, http.client.HTTPException) as exc:
-                    if self._conn is not None:
-                        _hangup(self._conn)
-                        self._conn = None
+                    status, fields, raw, drop = _round_trip(
+                        *self._conn, message)
+                except (OSError, ProtocolError) as exc:
                     if last:
                         raise ServiceError(
                             f"cannot reach {url} after {attempt} "
@@ -198,9 +230,11 @@ class ServiceClient:
                     time.sleep(self.retry.backoff_s(  # greenlint: ignore[GL6]
                         attempt, jitter_u=0.5))
                     continue
-                if will_close:
-                    _hangup(self._conn)
-                    self._conn = None
+                finally:
+                    if drop and self._conn is not None:
+                        _hangup(*self._conn)
+                        self._conn = None
+                retry_after = fields.get("retry-after")
                 if status == 503 and not last:
                     # The server shed the request; honour its hint.
                     self._retries += 1

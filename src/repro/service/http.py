@@ -24,20 +24,31 @@ Endpoints (all JSON):
 Errors map to status codes: unknown route 404, malformed request 400,
 unknown experiment id 400, internal failure 500.  Nothing here touches
 experiment math; the transport is a thin shell over the in-process API.
+
+Wire subset.  Every serving hop (client -> router -> shard) speaks
+HTTP/1.1 with keep-alive and ``Content-Length`` framing: no chunked
+bodies, at most :data:`MAX_LINE_BYTES` per line and :data:`MAX_HEADERS`
+header fields, and each message leaves in one write.  :func:`read_head`
+is the one header parser, shared by the request handler here and the
+reply reader in :mod:`repro.service.client`.  Stock clients (``curl``,
+``http.client``, ``urllib``) speak this subset unchanged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 import socket
 import sys
 import threading
 import weakref
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import BinaryIO
 from urllib.parse import parse_qs, urlsplit
 
-from repro.errors import ConfigError, ReproError
+from repro.errors import ConfigError, ProtocolError, ReproError
 from repro.experiments.engine import pickle_result
 from repro.experiments.registry import EXPERIMENTS
 from repro.rng import DEFAULT_SEED
@@ -49,6 +60,62 @@ from repro.version import __version__
 DEFAULT_PORT = 8077
 #: Cap on accepted request bodies; run requests are a few dozen bytes.
 MAX_BODY_BYTES = 64 * KiB
+#: Wire limits, the stdlib's own: bytes per request, status or header
+#: line, and header fields per message head.
+MAX_LINE_BYTES = 64 * KiB
+MAX_HEADERS = 100
+
+#: RFC 9110 field-name token; anything else (a folded continuation, a
+#: space before the colon) is a malformed line.
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+#: Decimal digits only: no sign, no blanks, no list of lengths, and few
+#: enough digits that ``int()`` stays in range.
+_LENGTH = re.compile(r"[0-9]{1,18}")
+_HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
+
+#: A reply not yet sent: status, JSON payload, extra header fields.
+Reply = tuple[int, dict, dict[str, str] | None]
+
+
+def read_head(rfile: BinaryIO) -> tuple[dict[str, str], int | None]:
+    """Read one header block, through its blank line, from ``rfile``.
+
+    Returns the fields keyed by lower-cased name (a repeated field's
+    values joined by ``", "``, so a repeated ``Content-Length`` fails
+    validation) and the validated ``Content-Length``, None when absent.
+    Raises :class:`~repro.errors.ProtocolError`: 431 for a line over
+    :data:`MAX_LINE_BYTES` or more than :data:`MAX_HEADERS` fields; 400
+    for EOF inside the head, a folded or colon-less line, or a length
+    that is not decimal digits; 501 for any ``Transfer-Encoding``.
+    """
+    fields: dict[str, str] = {}
+    count = 0
+    while True:
+        line = rfile.readline(MAX_LINE_BYTES + 1)
+        if len(line) > MAX_LINE_BYTES:
+            raise ProtocolError("header line too long", status=431)
+        if line in (b"\r\n", b"\n"):
+            break
+        if not line:
+            raise ProtocolError("connection closed inside the message head")
+        count += 1
+        if count > MAX_HEADERS:
+            raise ProtocolError(f"more than {MAX_HEADERS} header fields",
+                                status=431)
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon or not _FIELD_NAME.fullmatch(name):
+            raise ProtocolError(f"malformed header line {line[:40]!r}")
+        name = name.lower()
+        value = value.strip(" \t\r\n")
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    if "transfer-encoding" in fields:
+        raise ProtocolError("transfer codings are not supported", status=501)
+    length = fields.get("content-length")
+    if length is None:
+        return fields, None
+    if not _LENGTH.fullmatch(length):
+        raise ProtocolError(f"malformed Content-Length {length[:40]!r}")
+    return fields, int(length)
 
 
 #: Digest memo keyed by result identity.  ``/run`` digests its payload on
@@ -99,25 +166,84 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # of the previous keep-alive exchange (a ~40 ms stall per request).
     disable_nagle_algorithm = True
 
+    #: The request's head fields (see :func:`read_head`) and its
+    #: validated ``Content-Length``; set by :meth:`parse_request`.
+    fields: dict[str, str]
+    content_length: int | None
+
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
     # -- plumbing ---------------------------------------------------------------
 
+    def parse_request(self) -> bool:
+        """Parse the request line, then the head with :func:`read_head`.
+
+        Keeps the stdlib's semantics: HTTP/1.0 closes unless it asks for
+        keep-alive, ``Connection: close`` closes after the reply,
+        ``Expect: 100-continue`` is answered and a leading ``//`` in the
+        path collapses to ``/``.  On failure the stdlib's ``send_error``
+        replies (400, 431, 501 or 505) and the connection closes.
+        """
+        self.command = ""
+        self.close_connection = True
+        # Not the stdlib's "HTTP/0.9" default, under which send_error
+        # would answer a bad request line with a bare body.
+        self.request_version = ""
+        line = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = line
+        words = line.split()
+        if len(words) != 3:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request syntax ({line!r})")
+            return False
+        command, path, version = words
+        if version not in ("HTTP/1.1", "HTTP/1.0"):
+            if _HTTP_VERSION.fullmatch(version):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                                f"Invalid HTTP version ({version[5:]})")
+            else:
+                self.send_error(HTTPStatus.BAD_REQUEST,
+                                f"Bad request version ({version!r})")
+            return False
+        self.command, self.request_version = command, version
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.fields, self.content_length = read_head(self.rfile)
+        except ProtocolError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        connection = self.fields.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive")
+        if (version == "HTTP/1.1"
+                and self.fields.get("expect", "").lower() == "100-continue"):
+            return self.handle_expect_100()
+        return True
+
     def _reply(self, status: int, payload: dict,
                headers: dict[str, str] | None = None) -> None:
-        # HTTP/1.1 keep-alive: the explicit Content-Length lets the
-        # connection carry the next request instead of closing, so
-        # per-request TCP setup stops dominating small hot replies.
+        """Send status line, head and JSON body in one write.
+
+        Head and body written apart leave as two TCP segments (Nagle is
+        off) and wake the reader twice.  The explicit Content-Length
+        keeps the HTTP/1.1 connection open for the next request.
+        """
         body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        reason = self.responses.get(status, ("",))[0]
+        head = [f"{self.protocol_version} {status} {reason}",
+                f"Server: {self.version_string()}",
+                f"Date: {self.date_time_string()}",
+                "Content-Type: application/json",
+                f"Content-Length: {len(body)}"]
+        head.extend(f"{name}: {value}"
+                    for name, value in (headers or {}).items())
+        if self.close_connection:
+            head.append("Connection: close")
+        self.log_request(status)
+        self.wfile.write("\r\n".join(head).encode("latin-1")
+                         + b"\r\n\r\n" + body)
 
     def _error(self, status: int, message: str) -> None:
         self._reply(status, {"error": message})
@@ -131,7 +257,7 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         split = urlsplit(self.path)
         params = {k: v[-1] for k, v in parse_qs(split.query).items()}
         if self.command == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+            length = self.content_length or 0
             if length > MAX_BODY_BYTES:
                 # The oversized body stays unread; keep-alive would hand
                 # it to the next request parse, so end the connection.
@@ -156,16 +282,19 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
             raise ConfigError(f"seed must be an integer: {exc}") from exc
         return experiment_id, seed
 
-    def _handle_run(self) -> None:
+    def _run_reply(self) -> Reply:
+        """The /run reply, built but not yet sent."""
         try:
             experiment_id, seed = self._run_params()
             served = self._service.serve(experiment_id, seed)
         except ConfigError as exc:
-            self._error(400, str(exc))
+            return 400, {"error": str(exc)}, None
         except ReproError as exc:
-            self._error(500, str(exc))
-        else:
-            self._reply(200, _served_payload(served))
+            return 500, {"error": str(exc)}, None
+        return 200, _served_payload(served), None
+
+    def _handle_run(self) -> None:
+        self._reply(*self._run_reply())
 
     # -- verbs ------------------------------------------------------------------
 

@@ -23,9 +23,13 @@ the process-per-shard path end to end.
 
 from __future__ import annotations
 
+import http.client
+import json
+import re
 import socket
 import threading
 import time
+import urllib.request
 
 import pytest
 
@@ -47,12 +51,13 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.service import ExperimentService, ServiceConfig
 from repro.service.client import ServiceClient
-from repro.service.http import result_digest
+from repro.service.http import make_server, result_digest
 
 SEED = 2015
 
 #: Keys reserved per test so the module-scoped cluster stays coherent:
-#: fig4 -> routing, table2 -> hot promotion + invalidation, fig9 -> storm.
+#: fig4 -> routing, fig5 -> stats, table2 -> hot promotion +
+#: invalidation, fig9 -> storm.
 
 
 def _await(predicate, timeout_s: float = 10.0, interval_s: float = 0.02):
@@ -296,7 +301,9 @@ class TestClusterServing:
         assert client.run(eid, SEED)["digest"] == expected
 
     def test_router_surfaces_cluster_stats(self, cluster, client):
-        client.run("fig4", SEED)
+        # Not fig4: its third cached hit promotes it here, and the
+        # background replica warm would be in flight during /stats.
+        client.run("fig5", SEED)
         stats = client.stats()
         assert set(stats) == {"router", "shards", "totals"}
         assert stats["router"]["requests"] >= 1
@@ -410,6 +417,10 @@ class TestFailover:
             first = cluster.router.route("fig6", SEED)
             victim = first["shard"]
             survivor = next(n for n in shard_names(2) if n != victim)
+            # Stop the background prober first: marking the victim dead
+            # before the route below would skip the forwarding fail-over
+            # this test checks.
+            cluster.router.close()
             cluster.stop_shard(victim)
             second = cluster.router.route("fig6", SEED)
             assert second["shard"] == survivor
@@ -544,6 +555,359 @@ class TestServiceClient:
         assert _retry_after_s(None) is None
         assert _retry_after_s("soon") is None
         assert _retry_after_s("-1") is None
+
+
+# -- the wire subset ---------------------------------------------------------------
+
+
+def _exchange(address, data: bytes, half_close: bool = True,
+              timeout_s: float = 10.0) -> tuple[bytes, bool]:
+    """Send raw bytes; everything the server sends, and whether it closed.
+
+    With ``half_close`` the client signals EOF after ``data``, so a
+    keep-alive server answers every request in it and then closes.
+    Without it, only a server that ends the connection itself closes;
+    otherwise the read stops at the timeout.
+    """
+    chunks = []
+    with socket.create_connection(address, timeout=timeout_s) as sock:
+        sock.sendall(data)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except TimeoutError:
+            return b"".join(chunks), False
+    return b"".join(chunks), True
+
+
+def _replies(data: bytes) -> list[tuple[int, bytes, bytes]]:
+    """(status, head, body) of each Content-Length-framed reply in ``data``."""
+    out = []
+    while data:
+        head, sep, rest = data.partition(b"\r\n\r\n")
+        assert sep, data
+        length = re.search(rb"(?im)^content-length: *([0-9]+)", head)
+        size = int(length.group(1)) if length else len(rest)
+        out.append((int(head.split(b" ", 2)[1]), head, rest[:size]))
+        data = rest[size:]
+    return out
+
+
+def _request(path: str = "/health", extra: bytes = b"",
+             version: bytes = b"HTTP/1.1") -> bytes:
+    """A bodiless GET with ``extra`` raw header lines."""
+    return (b"GET " + path.encode() + b" " + version + b"\r\n"
+            b"Host: test\r\n" + extra + b"\r\n")
+
+
+@pytest.fixture(scope="module")
+def serve_address():
+    """A plain ``repro serve`` endpoint (no cache, no cluster)."""
+    server = make_server("127.0.0.1", 0,
+                         ExperimentService(ServiceConfig(jobs=1)))
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield "127.0.0.1", server.port
+    finally:
+        server.shutdown()
+        server.server_close()
+        server.service.close(wait=False)
+        thread.join(timeout=5)
+
+
+class TestWireServer:
+    """The request side of the subset, driven over raw sockets."""
+
+    @pytest.mark.parametrize("size, status", [(65536, 200), (65537, 431)])
+    def test_header_line_limit(self, serve_address, size, status):
+        line = b"X-Long: " + b"a" * (size - 10) + b"\r\n"
+        assert len(line) == size
+        data, _ = _exchange(serve_address, _request(extra=line))
+        assert _replies(data)[0][0] == status
+
+    @pytest.mark.parametrize("count, status", [(100, 200), (101, 431)])
+    def test_header_count_limit(self, serve_address, count, status):
+        # Host counts too: count - 1 more fields.
+        extra = b"".join(b"X-F%d: v\r\n" % i for i in range(count - 1))
+        data, _ = _exchange(serve_address, _request(extra=extra))
+        assert _replies(data)[0][0] == status
+
+    @pytest.mark.parametrize("extra", [
+        b"X-A: one\r\n two\r\n",        # folded continuation
+        b"X-A one\r\n",                   # no colon
+        b"X-A : one\r\n",                 # space before the colon
+    ])
+    def test_malformed_header_lines_get_400(self, serve_address, extra):
+        data, closed = _exchange(serve_address, _request(extra=extra),
+                                 half_close=False)
+        assert _replies(data)[0][0] == 400
+        assert closed
+
+    @pytest.mark.parametrize("value", [b"abc", b"-1", b"+5", b"1, 1", b""])
+    def test_malformed_content_length_gets_prompt_400(self, serve_address,
+                                                      value):
+        request = (b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: " + value + b"\r\n\r\n{}")
+        start = time.monotonic()
+        data, closed = _exchange(serve_address, request, half_close=False)
+        assert time.monotonic() - start < 5.0
+        (status, _head, _body), = _replies(data)
+        assert status == 400
+        assert closed
+
+    def test_content_length_in_any_letter_case(self, serve_address):
+        body = json.dumps({"experiment": "not-an-experiment"}).encode()
+        request = (b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                   b"cOnTeNt-LeNgTh: %d\r\n\r\n" % len(body) + body)
+        data, _ = _exchange(serve_address, request)
+        (status, _head, reply), = _replies(data)
+        # The body was read: the error names its experiment id.
+        assert status == 400
+        assert "not-an-experiment" in json.loads(reply)["error"]
+
+    @pytest.mark.parametrize("request_bytes", [
+        _request(extra=b"Connection: close\r\n"),
+        _request(version=b"HTTP/1.0"),
+    ])
+    def test_close_after_reply(self, serve_address, request_bytes):
+        data, closed = _exchange(serve_address, request_bytes,
+                                 half_close=False)
+        (status, head, _body), = _replies(data)
+        assert status == 200
+        assert b"Connection: close" in head
+        assert closed
+
+    def test_expect_100_continue(self, serve_address):
+        body = json.dumps({"experiment": "not-an-experiment"}).encode()
+        with socket.create_connection(serve_address, timeout=10) as sock:
+            sock.sendall(b"POST /run HTTP/1.1\r\nHost: test\r\n"
+                         b"Expect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(body))
+            assert sock.recv(65536).startswith(b"HTTP/1.1 100 ")
+            sock.sendall(body)
+            sock.shutdown(socket.SHUT_WR)
+            data = b"".join(iter(lambda: sock.recv(65536), b""))
+        (status, _head, reply), = _replies(data)
+        assert status == 400
+        assert "not-an-experiment" in json.loads(reply)["error"]
+
+    def test_leading_double_slash_collapses(self, serve_address):
+        data, _ = _exchange(serve_address, _request("//health"))
+        (status, _head, reply), = _replies(data)
+        assert status == 200
+        assert json.loads(reply)["status"] == "ok"
+
+    def test_pipelined_requests_answered_in_order(self, serve_address):
+        data, _ = _exchange(serve_address,
+                            _request("/health") + _request("/status"))
+        (s1, _h1, health), (s2, _h2, status) = _replies(data)
+        assert (s1, s2) == (200, 200)
+        assert json.loads(health)["status"] == "ok"
+        assert "experiments" in json.loads(status)
+
+    @pytest.mark.parametrize("line, status", [
+        (b"GET /health HTTP/2.0", 505),
+        (b"garbage", 400),
+        (b"GET /health FOO/1.1", 400),
+    ])
+    def test_bad_request_lines(self, serve_address, line, status):
+        data, closed = _exchange(serve_address, line + b"\r\n\r\n",
+                                 half_close=False)
+        assert data.startswith(b"HTTP/1.1 %d " % status)
+        assert closed
+
+    def test_one_write_per_reply(self, serve_address, monkeypatch):
+        writes = []
+        real = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            # Only this server's side of a connection has its port.
+            if sock.getsockname()[1] == serve_address[1]:
+                writes.append(len(data))
+            return real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        data, _ = _exchange(serve_address, _request())
+        assert writes == [len(data)]
+
+
+class _ScriptedServer:
+    """One loopback listener answering requests from a script.
+
+    Each script entry is ``(reply bytes, keep)``: the bytes go out in
+    answer to the next request, and the connection is closed after
+    them unless ``keep``.  With ``trickle`` every byte is its own
+    segment.
+    """
+
+    def __init__(self, script: list[tuple[bytes, bool]],
+                 trickle: bool = False) -> None:
+        self.script = list(script)
+        self.trickle = trickle
+        self.requests: list[bytes] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        try:
+            while self.script:
+                conn, _ = self._listener.accept()
+                with conn, conn.makefile("rb") as reader:
+                    conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                    self._answer(conn, reader)
+        except OSError:
+            pass  # the listener closed under accept()
+
+    def _answer(self, conn: socket.socket, reader) -> None:
+        while self.script:
+            head = [reader.readline()]
+            if not head[0]:
+                return  # the client hung up
+            while head[-1] not in (b"\r\n", b""):
+                head.append(reader.readline())
+            length = re.search(rb"(?im)^content-length: *([0-9]+)",
+                               b"".join(head))
+            body = reader.read(int(length.group(1))) if length else b""
+            self.requests.append(b"".join(head) + body)
+            reply, keep = self.script.pop(0)
+            if self.trickle:
+                for i in range(len(reply)):
+                    conn.sendall(reply[i:i + 1])
+                    time.sleep(0.001)
+            else:
+                conn.sendall(reply)
+            if not keep:
+                return
+
+    def close(self) -> None:
+        self._listener.close()
+        self._thread.join(timeout=5)
+
+    def __enter__(self) -> "_ScriptedServer":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+def _http_reply(payload: dict, status: bytes = b"200 OK",
+                extra: bytes = b"") -> bytes:
+    body = json.dumps(payload).encode()
+    return (b"HTTP/1.1 " + status + b"\r\nContent-Type: application/json\r\n"
+            + extra + b"Content-Length: %d\r\n\r\n" % len(body) + body)
+
+
+_FAST_RETRY = RetryPolicy(max_attempts=2, backoff_base_s=0.01,
+                          jitter_fraction=0.0)
+
+
+class TestWireClient:
+    """The reply side of the subset, against a scripted server."""
+
+    def test_reply_one_byte_per_segment_still_parses(self):
+        reply = _http_reply({"status": "ok"}, extra=b"X-Pad: p\r\n")
+        with _ScriptedServer([(reply, True)], trickle=True) as server, \
+                ServiceClient(port=server.port) as client:
+            assert client.health() == {"status": "ok"}
+            assert client.transport_stats() == {"connects": 1, "retries": 0}
+
+    def test_connection_close_reply_redials(self):
+        script = [(_http_reply({"n": 1}, extra=b"Connection: close\r\n"),
+                   False),
+                  (_http_reply({"n": 2}), True)]
+        with _ScriptedServer(script) as server, \
+                ServiceClient(port=server.port) as client:
+            assert client.health() == {"n": 1}
+            assert client.health() == {"n": 2}
+            assert client.transport_stats() == {"connects": 2, "retries": 0}
+
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Le",                       # EOF in head
+        b"HTTP/1.1 200 OK\r\nContent-Length: 50\r\n\r\n{}",       # short body
+        b"HTTP/1.1 2x0 OK\r\nContent-Length: 2\r\n\r\n{}",        # status line
+        b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+        b"2\r\n{}\r\n0\r\n\r\n",                                  # chunked
+    ], ids=["eof-in-head", "short-body", "bad-status-line", "chunked"])
+    def test_broken_replies_are_transport_failures(self, reply):
+        with _ScriptedServer([(reply, False)] * 2) as server, \
+                ServiceClient(port=server.port, retry=_FAST_RETRY) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.health()
+            assert excinfo.value.status is None
+            assert client.transport_stats() == {"connects": 2, "retries": 1}
+
+    def test_503_retry_after_is_honoured(self):
+        script = [(_http_reply({"error": "busy"}, b"503 Service Unavailable",
+                               b"Retry-After: 0.2\r\n"), True),
+                  (_http_reply({"status": "ok"}), True)]
+        with _ScriptedServer(script) as server, \
+                ServiceClient(port=server.port, retry=_FAST_RETRY) as client:
+            start = time.monotonic()
+            assert client.health() == {"status": "ok"}
+            assert time.monotonic() - start >= 0.2
+            assert client.transport_stats() == {"connects": 1, "retries": 1}
+
+    def test_one_write_per_request(self, monkeypatch):
+        me = threading.get_ident()
+        writes = []
+        real = socket.socket.sendall
+
+        def counting(sock, data, *args):
+            if threading.get_ident() == me:
+                writes.append(len(data))
+            return real(sock, data, *args)
+
+        monkeypatch.setattr(socket.socket, "sendall", counting)
+        with _ScriptedServer([(_http_reply({"ok": 1}), True)]) as server, \
+                ServiceClient(port=server.port) as client:
+            client.run("fig4", SEED)
+            request = server.requests[0]
+        assert writes == [len(request)]
+        assert request.startswith(b"POST /run HTTP/1.1\r\n")
+        assert json.loads(request.partition(b"\r\n\r\n")[2]) == {
+            "experiment": "fig4", "seed": SEED}
+
+
+class TestWireInterop:
+    """Stock clients get the same replies as ServiceClient."""
+
+    STABLE = ("experiment", "seed", "title", "text", "digest")
+
+    def _targets(self, cluster):
+        owner = cluster.router._ring.primary(cache_key("fig7", SEED))
+        return [cluster.router_address,
+                (cluster.config.host, cluster.shard_port(owner))]
+
+    def test_http_client_and_urllib_match_service_client(self, cluster):
+        body = json.dumps({"experiment": "fig7", "seed": SEED}).encode()
+        for host, port in self._targets(cluster):
+            with ServiceClient(host, port) as client:
+                expected = client.run("fig7", SEED)
+            conn = http.client.HTTPConnection(host, port, timeout=30)
+            try:
+                stock = []
+                for _ in range(2):  # twice on one keep-alive connection
+                    conn.request("POST", "/run", body=body, headers={
+                        "Content-Type": "application/json"})
+                    reply = conn.getresponse()
+                    assert reply.status == 200
+                    stock.append(json.loads(reply.read()))
+            finally:
+                conn.close()
+            request = urllib.request.Request(
+                f"http://{host}:{port}/run", data=body,
+                headers={"Content-Type": "application/json"})
+            with urllib.request.urlopen(request, timeout=30) as reply:
+                stock.append(json.loads(reply.read()))
+            for got in stock:
+                assert set(got) == set(expected)
+                assert ({k: got[k] for k in self.STABLE}
+                        == {k: expected[k] for k in self.STABLE})
 
 
 class TestSpawnedCluster:

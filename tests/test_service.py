@@ -152,6 +152,12 @@ class TestSingleFlight:
             for t in threads:
                 t.start()
             barrier.wait()       # all requesters lined up...
+            # ...and joined the one in-flight compute: a requester that
+            # arrived after it finished would be a memory hit instead.
+            deadline = time.monotonic() + 30
+            while (service.stats()["coalesced"] < n_threads - 1
+                   and time.monotonic() < deadline):
+                time.sleep(0.005)
             release.set()        # ...then let the one compute finish
             for t in threads:
                 t.join(timeout=30)

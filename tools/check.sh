@@ -133,6 +133,91 @@ assert stats["totals"]["computed"] == 1, stats["totals"]
 assert repeat["source"] == "memory", repeat["source"]
 PY
 
+echo "== cli cluster smoke (repro cluster + repro query processes, ^C) =="
+# The deployment perfbench drives: the CLI forks shard processes, a
+# separate `repro query` process reads through the router, and one
+# SIGINT must tear the whole tree down with exit status 0.
+python - <<'PY'
+import json
+import os
+import re
+import select
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+
+from repro.experiments.figures import Lab
+from repro.experiments.registry import run_experiment
+from repro.service.http import result_digest
+
+STARTUP = re.compile(r"routing \d+ experiments on http://[\d.]+:(\d+) ")
+TIMEOUT_S = 60.0
+
+
+def tree(pid):
+    """``pid`` and its descendants (Linux /proc)."""
+    out, frontier = [], [pid]
+    while frontier:
+        current = frontier.pop()
+        out.append(current)
+        for task in os.listdir(f"/proc/{current}/task"):
+            with open(f"/proc/{current}/task/{task}/children") as fh:
+                frontier.extend(int(c) for c in fh.read().split())
+    return out
+
+
+def alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+with tempfile.TemporaryDirectory() as cache_dir:
+    cluster = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "cluster", "--port", "0",
+         "--cache", cache_dir],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    try:
+        port = None
+        deadline = time.monotonic() + TIMEOUT_S
+        while port is None and time.monotonic() < deadline:
+            ready, _, _ = select.select([cluster.stdout], [], [], 1.0)
+            if ready:
+                line = cluster.stdout.readline()
+                if not line:
+                    break
+                match = STARTUP.search(line)
+                port = int(match.group(1)) if match else None
+        assert port is not None, "repro cluster printed no startup line"
+        query = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "query", "fig10", "--json",
+             "--port", str(port)],
+            capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
+        reply = json.loads(query.stdout)
+        expected = result_digest(run_experiment("fig10", Lab()))
+        assert reply["digest"] == expected, (reply["digest"], expected)
+        processes = tree(cluster.pid)
+        assert len(processes) >= 3, processes  # the CLI and its shards
+        cluster.send_signal(signal.SIGINT)
+        status = cluster.wait(timeout=TIMEOUT_S)
+        left = [pid for pid in processes if alive(pid)]
+    finally:
+        if cluster.poll() is None:
+            for pid in tree(cluster.pid):
+                os.kill(pid, signal.SIGKILL)
+            cluster.wait()
+        cluster.stdout.close()
+print(f"cli cluster: shard processes={len(processes) - 1} "
+      f"source={reply['source']} exit={status} left={left}")
+assert status == 0, status
+assert not left, f"processes outlived SIGINT: {left}"
+PY
+
 echo "== cluster benchmark gate (committed JSON self-consistency) =="
 # The committed BENCH_serve.json must pass its own cluster gate: the
 # storm computed exactly once cluster-wide, digests agree across
