@@ -32,22 +32,23 @@ Quickstart::
     print(f"in-situ saves {outcome.energy_savings_fraction:.0%}")
 """
 
-from repro.version import __version__
 from repro.errors import ReproError
-from repro.config import ExperimentConfig
-from repro.machine import Node, paper_testbed
-from repro.pipelines import (
-    InSituPipeline,
-    InTransitPipeline,
-    PipelineConfig,
-    PipelineRunner,
-    PostProcessingPipeline,
-    RunResult,
-)
-from repro.power import MeterRig, PowerProfile
-from repro.analysis import GreennessReport, compare_cases
-from repro.workloads import FioRunner, run_all_cases, run_case_study
-from repro.experiments import CASE_STUDIES, Lab, run_experiment
+from repro.lazy import lazy_exports
+from repro.version import __version__
+
+# Everything else loads on first use (PEP 562): ``import repro.errors``
+# or ``repro query`` must not pay for numpy and the whole model stack.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config": ("ExperimentConfig",),
+    "repro.machine": ("Node", "paper_testbed"),
+    "repro.pipelines": ("PipelineConfig", "PipelineRunner",
+                        "PostProcessingPipeline", "InSituPipeline",
+                        "InTransitPipeline", "RunResult"),
+    "repro.power": ("MeterRig", "PowerProfile"),
+    "repro.analysis": ("GreennessReport", "compare_cases"),
+    "repro.workloads": ("FioRunner", "run_case_study", "run_all_cases"),
+    "repro.experiments": ("CASE_STUDIES", "Lab", "run_experiment"),
+})
 
 __all__ = [
     "__version__",

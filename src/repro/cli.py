@@ -10,19 +10,19 @@ Usage::
 
 The CLI is a thin shell over :mod:`repro.experiments`; everything it
 prints comes from the same functions the benchmark harness asserts on.
+Each subcommand imports what it uses, so ``repro query`` starts without
+numpy or the model stack.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import signal
 import sys
 from typing import Sequence
 
-from repro.analysis.plots import save_csv
 from repro.errors import ReproError
-from repro.experiments import EXPERIMENTS, Lab, run_experiment
-from repro.power.profile import PowerProfile
 from repro.rng import DEFAULT_SEED
 from repro.version import __version__
 
@@ -271,10 +271,24 @@ def _run_faults(args) -> int:
     return 0
 
 
+def _interruptible() -> None:
+    """Make SIGINT and SIGTERM both raise KeyboardInterrupt here.
+
+    Both then run the same teardown.  A non-interactive shell starts
+    ``&`` jobs with SIGINT ignored, and Python keeps an ignored SIGINT;
+    SIGTERM's default action would skip the teardown altogether.
+    """
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
+
+
 def _run_serve(args) -> int:
     """Handle ``repro serve``: block until interrupted."""
+    from repro.experiments.registry import EXPERIMENTS
     from repro.service import DEFAULT_PORT, ExperimentService, ServiceConfig
     from repro.service.http import make_server
+
+    _interruptible()
 
     port = DEFAULT_PORT if args.port is None else args.port
     config_kwargs = {"jobs": args.jobs, "cache_dir": args.cache}
@@ -291,12 +305,6 @@ def _run_serve(args) -> int:
         service.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.cache is not None:
-        # Prime (or restore) the default-seed warm-Lab snapshot now, so
-        # worker threads deserialize a ready Lab in milliseconds instead
-        # of each paying the cold construction on their first request.
-        from repro.experiments.engine import warm_lab
-        warm_lab(DEFAULT_SEED, args.cache)
     print(f"serving {len(EXPERIMENTS)} experiments on "
           f"http://{args.host}:{port} (jobs={args.jobs}, "
           f"cache={args.cache or 'memory only'})")
@@ -312,9 +320,17 @@ def _run_serve(args) -> int:
 
 
 def _run_cluster(args) -> int:
-    """Handle ``repro cluster``: shard processes + router, until ^C."""
+    """Handle ``repro cluster``: shard processes + router, until ^C.
+
+    Nothing is primed here: the shards fork from a process that holds
+    no Lab, and each seed's Lab is primed on its first request, once per
+    cache directory (:func:`repro.experiments.engine.primed_lab`).
+    """
     from repro.cluster import ClusterConfig, SpawnedCluster
-    from repro.service.http import DEFAULT_PORT
+    from repro.experiments.registry import EXPERIMENTS
+    from repro.service.wire import DEFAULT_PORT
+
+    _interruptible()
 
     port = DEFAULT_PORT if args.port is None else args.port
     config_kwargs = {"shards": args.shards, "replicas": args.replicas,
@@ -326,12 +342,6 @@ def _run_cluster(args) -> int:
         config_kwargs["max_queue_depth"] = args.queue_depth
     try:
         config = ClusterConfig(**config_kwargs)
-        if args.cache is not None:
-            # One snapshot primes every shard: they share the cache
-            # directory, so each worker restores the warm Lab in
-            # milliseconds instead of re-priming per process.
-            from repro.experiments.engine import warm_lab
-            warm_lab(DEFAULT_SEED, args.cache)
         cluster = SpawnedCluster(config, router_port=port,
                                  verbose=args.verbose)
         cluster.start()
@@ -364,7 +374,7 @@ def _run_query(args) -> int:
         DEFAULT_RETRY,
         query,
     )
-    from repro.service.http import DEFAULT_PORT
+    from repro.service.wire import DEFAULT_PORT
 
     port = DEFAULT_PORT if args.port is None else args.port
     timeout_s = (DEFAULT_READ_TIMEOUT_S if args.timeout is None
@@ -398,6 +408,9 @@ def _run_query(args) -> int:
 
 def _dump_csv(result, directory: str) -> list[str]:
     """Write any PowerProfile payloads of a result as CSV files."""
+    from repro.analysis.plots import save_csv
+    from repro.power.profile import PowerProfile
+
     written: list[str] = []
     data = result.data
     profiles: dict[str, PowerProfile] = {}
@@ -420,6 +433,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
+        from repro.experiments import EXPERIMENTS
+
         for eid in EXPERIMENTS:
             doc = (EXPERIMENTS[eid].__doc__ or "").strip().splitlines()
             summary = doc[0] if doc else ""
@@ -442,6 +457,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return _run_query(args)
 
     if args.command == "verify":
+        from repro.experiments import Lab
         from repro.experiments.verification import (
             render_verification,
             run_verification,
@@ -452,6 +468,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0 if all(c.passed for c in checks) else 1
 
     if args.command == "report":
+        from repro.experiments import Lab
         from repro.experiments.report import write_report
 
         try:
@@ -463,6 +480,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
 
     # command == "run"
+    from repro.experiments import EXPERIMENTS, Lab, run_experiment
+
     ids = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
     try:
         if args.jobs > 1 or args.cache:

@@ -27,6 +27,8 @@ computes scale with cores instead of serializing on the GIL.
 from __future__ import annotations
 
 import multiprocessing.connection
+import signal
+import threading
 from typing import Any
 from urllib.parse import urlsplit
 
@@ -157,13 +159,25 @@ def make_shard_server(host: str, port: int, name: str,
 def run_shard(conn: multiprocessing.connection.Connection, host: str,
               name: str, service_config: ServiceConfig,
               admission: AdmissionPolicy,
-              verbose: bool = False) -> None:
+              verbose: bool = False, *,
+              lifeline: tuple[multiprocessing.connection.Connection,
+                              multiprocessing.connection.Connection]
+              ) -> None:
     """Subprocess entry: bind an ephemeral port, report it, serve forever.
 
     The parent learns the bound port over ``conn`` and stops the shard
     by terminating the process; the OS reclaims the socket.  Any bind
     failure is reported over the pipe instead of a port number.
+
+    ``lifeline`` is the (read, write) pair of a pipe the parent holds
+    open and never writes.  The shard closes its inherited write end,
+    so EOF on the read end means the parent is gone, and then stops
+    serving.
     """
+    # SIGTERM stops a shard at once, whatever handler the parent had
+    # installed before forking.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    lifeline[1].close()
     try:
         service = ExperimentService(service_config)
     except ReproError as exc:
@@ -178,6 +192,8 @@ def run_shard(conn: multiprocessing.connection.Connection, host: str,
         conn.send({"error": str(exc)})
         conn.close()
         return
+    threading.Thread(target=_stop_on_eof, args=(lifeline[0], server),
+                     name=f"repro-{name}-lifeline", daemon=True).start()
     conn.send({"port": server.port})
     conn.close()
     try:
@@ -187,6 +203,13 @@ def run_shard(conn: multiprocessing.connection.Connection, host: str,
     finally:
         server.server_close()
         service.close(wait=False)
+
+
+def _stop_on_eof(lifeline: multiprocessing.connection.Connection,
+                 server: ShardHTTPServer) -> None:
+    """Block until the parent's end of ``lifeline`` closes; stop ``server``."""
+    multiprocessing.connection.wait([lifeline])
+    server.shutdown()
 
 
 def shard_names(n: int) -> list[str]:

@@ -18,6 +18,7 @@ health prober) in front.
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import threading
 import time
 from dataclasses import dataclass
@@ -163,11 +164,19 @@ class LocalCluster:
 class SpawnedCluster:
     """Shards as forked OS processes, router in this process.
 
-    The shards inherit a primed interpreter via fork (spawn elsewhere),
-    bind ephemeral ports, and report them over pipes; the parent builds
-    the router once every shard is reachable.  ``stop()`` terminates
-    the shard processes — their caches are process-local (memory) or
-    shared and durable (the disk tier), so nothing needs draining.
+    The shards inherit the imported modules via fork (spawn elsewhere),
+    but no Lab: each seed is primed on its first request, once per
+    cache directory.  They bind ephemeral ports and report them over
+    pipes; the parent builds the router once every shard is reachable.
+    ``stop()`` terminates the shard processes — their caches are
+    process-local (memory) or shared and durable (the disk tier), so
+    nothing needs draining.
+
+    Every shard also holds the read end of a lifeline pipe whose write
+    end only this process holds, and never writes.  When this process
+    exits, however it exits (even by SIGKILL), the kernel closes that
+    end, the shards read EOF and stop serving: no shard outlives its
+    cluster.
     """
 
     #: How long a forked shard may take to bind and report its port.
@@ -183,6 +192,7 @@ class SpawnedCluster:
         self.router: Router | None = None
         self.router_server: RouterHTTPServer | None = None
         self._router_thread: threading.Thread | None = None
+        self._lifeline: multiprocessing.connection.Connection | None = None
 
     def start(self) -> "SpawnedCluster":
         from repro.cluster.shard import run_shard
@@ -192,6 +202,7 @@ class SpawnedCluster:
             "fork" if "fork" in methods else "spawn")
         host = self.config.host
         pending = []
+        lifeline, self._lifeline = ctx.Pipe(duplex=False)
         try:
             for name in shard_names(self.config.shards):
                 parent_conn, child_conn = ctx.Pipe(duplex=False)
@@ -201,6 +212,7 @@ class SpawnedCluster:
                         args=(child_conn, host, name,
                               self.config.service_config(),
                               self.config.admission_policy(), self._verbose),
+                        kwargs={"lifeline": (lifeline, self._lifeline)},
                         name=f"repro-{name}", daemon=True)
                     process.start()
                 finally:
@@ -226,6 +238,9 @@ class SpawnedCluster:
                 conn.close()
             self.stop()
             raise
+        finally:
+            # Only the shards read the lifeline.
+            lifeline.close()
         for _name, conn in pending:
             conn.close()
         self.router = Router(self._infos, self.config.router_config())
@@ -298,6 +313,9 @@ class SpawnedCluster:
         for process in self._processes.values():
             process.join(timeout=10)
         self._processes.clear()
+        if self._lifeline is not None:
+            self._lifeline.close()
+            self._lifeline = None
 
     def __enter__(self) -> "SpawnedCluster":
         return self.start()

@@ -17,6 +17,15 @@ class ConfigError(ReproError, ValueError):
     """An experiment or model configuration is invalid."""
 
 
+class UnknownNameError(ReproError, AttributeError):
+    """A package was asked for a public name it does not export.
+
+    Raised by the lazy package ``__getattr__`` hooks (PEP 562), which
+    must raise an :class:`AttributeError` so ``hasattr`` and
+    ``from package import submodule`` keep their meaning.
+    """
+
+
 class MachineError(ReproError):
     """A hardware-model invariant was violated."""
 

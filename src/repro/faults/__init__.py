@@ -18,9 +18,15 @@ be pure delegation: wrapping a device in :class:`FaultyDevice` with a null
 plan reproduces the unwrapped device bit for bit.
 """
 
-from repro.faults.retry import RetryPolicy, RetrySession
-from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.faults.device import FaultyDevice
+from repro.lazy import lazy_exports
+
+# Loaded on first use: the serving client needs only RetryPolicy, not
+# the device models behind FaultyDevice.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.faults.retry": ("RetryPolicy", "RetrySession"),
+    "repro.faults.plan": ("FaultKind", "FaultPlan", "FaultSpec"),
+    "repro.faults.device": ("FaultyDevice",),
+})
 
 __all__ = [
     "RetryPolicy",

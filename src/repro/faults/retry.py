@@ -10,10 +10,12 @@ two runs with the same seed draw the same jitter sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:  # the serving client uses RetryPolicy without numpy
+    import numpy as np
 
 __all__ = ["RetryPolicy", "RetrySession"]
 

@@ -12,8 +12,10 @@ from a single experiment seed, so that:
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SEED = 20150525  # IPDPSW 2015 workshop date
 
@@ -25,6 +27,10 @@ def stream(name: str, seed: int = DEFAULT_SEED) -> np.random.Generator:
     give statistically independent streams and the mapping is stable across
     processes and Python versions (unlike ``hash()``).
     """
+    # Imported here so DEFAULT_SEED stays importable without numpy (the
+    # serving client's default); a draw needs numpy loaded anyway.
+    import numpy as np
+
     digest = hashlib.sha256(f"{seed}:{name}".encode()).digest()
     # 4 words of 64 bits each seed the SeedSequence entropy pool.
     entropy = [int.from_bytes(digest[i : i + 8], "little") for i in range(0, 32, 8)]

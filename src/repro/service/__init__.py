@@ -8,14 +8,17 @@ request coalescing; :mod:`repro.service.http` exposes it over JSON/HTTP
 for ``repro serve`` and ``repro query``.
 """
 
-from repro.service.cache import LruCache
-from repro.service.core import ExperimentService, Served, ServiceConfig
-from repro.service.http import (
-    DEFAULT_PORT,
-    ExperimentHTTPServer,
-    make_server,
-    result_digest,
-)
+from repro.lazy import lazy_exports
+
+# Loaded on first use: the client side (``repro query``) imports
+# ``repro.service.client`` and must not pull in the serving core.
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.service.cache": ("LruCache",),
+    "repro.service.core": ("ExperimentService", "Served", "ServiceConfig"),
+    "repro.service.http": ("ExperimentHTTPServer", "make_server",
+                           "result_digest"),
+    "repro.service.wire": ("DEFAULT_PORT",),
+})
 
 __all__ = [
     "DEFAULT_PORT",

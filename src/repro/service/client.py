@@ -12,10 +12,12 @@ a dead server surfaces as a prompt :class:`~repro.errors.ServiceError`
 instead of hanging the CLI forever.
 
 The client owns its socket and speaks the wire subset described in
-:mod:`repro.service.http`: each request leaves in one write, and the
+:mod:`repro.service.wire`: each request leaves in one write, and the
 reply's status line, head (through the shared
-:func:`~repro.service.http.read_head`) and ``Content-Length``-framed
-body are read off one buffered reader per connection.
+:func:`~repro.service.wire.read_head`) and ``Content-Length``-framed
+body are read off one buffered reader per connection.  It imports
+neither the serving core nor numpy, so a fresh ``repro query`` process
+starts in a fraction of the time the server side takes.
 
 Retry semantics: transport-level failures (connection refused or reset,
 timeouts, a torn keep-alive connection, a reply that breaks the wire
@@ -43,7 +45,7 @@ from typing import BinaryIO
 from repro.errors import ConfigError, ProtocolError, ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.rng import DEFAULT_SEED
-from repro.service.http import DEFAULT_PORT, MAX_LINE_BYTES, read_head
+from repro.service.wire import DEFAULT_PORT, MAX_LINE_BYTES, read_head
 
 #: Establishing the TCP connection: fail fast, the server is local/near.
 DEFAULT_CONNECT_TIMEOUT_S = 5.0

@@ -6,10 +6,11 @@ stack shaped like an inference server:
 * **Warm worker pool** — requests execute on a fixed thread pool whose
   workers each hold primed :class:`~repro.experiments.figures.Lab`\\ s
   (one per seed, LRU-bounded).  A Lab is constructed once per
-  (worker, seed) — restored from the engine's warm-Lab snapshot when
-  the disk tier holds one — and reused across requests, so repeat
-  traffic skips testbed construction and shares the Lab's memoized
-  pipeline runs.
+  (worker, seed) and reused across requests, so repeat traffic skips
+  testbed construction and shares the Lab's memoized pipeline runs.
+  With a disk tier, a seed is primed once per cache directory and
+  every other worker, in this process or another, restores the
+  engine's warm-Lab snapshot of it.
   Experiments are pure functions of ``(seed, testbed spec)``, so a warm
   Lab returns byte-identical payloads to a cold serial run.
 * **Two-tier cache** — a thread-safe in-memory LRU
@@ -41,9 +42,9 @@ from repro.errors import ConfigError, ServiceError
 from repro.experiments.engine import (
     cache_key,
     drop_result,
-    load_lab_snapshot,
     load_result,
     pickle_result,
+    primed_lab,
     store_result,
 )
 from repro.experiments.figures import ExperimentResult, Lab
@@ -126,27 +127,29 @@ class ExperimentService:
     # -- worker side ------------------------------------------------------------
 
     def _lab_for(self, seed: int) -> Lab:
-        """This worker thread's primed Lab for ``seed`` (LRU of seeds).
+        """This worker thread's Lab for ``seed`` (LRU of seeds).
 
-        When the disk tier is armed and holds a warm-Lab snapshot for
-        the seed, the Lab is deserialized from it (milliseconds) instead
-        of constructed cold — the snapshot carries the memoized shared
-        pipeline runs, so even a fresh process computes requests at
-        warm-Lab speed.
+        Without a disk tier the Lab is built lazily and nothing touches
+        the disk.  With one, :func:`~repro.experiments.engine.primed_lab`
+        restores the seed's warm-Lab snapshot (milliseconds), or primes
+        the Lab and saves the snapshot when no worker sharing the cache
+        directory has yet; the snapshot carries the memoized shared
+        pipeline runs, so even a fresh process computes at warm-Lab
+        speed.
         """
         labs: OrderedDict[int, Lab] | None = getattr(self._local, "labs", None)
         if labs is None:
             labs = self._local.labs = OrderedDict()
         lab = labs.get(seed)
         if lab is None:
-            if self.config.cache_dir is not None:
-                lab = load_lab_snapshot(self.config.cache_dir, seed)
-            if lab is not None:
-                with self._lock:
-                    self._labs_restored += 1
+            if self.config.cache_dir is None:
+                lab, restored = Lab(seed=seed), False
             else:
-                lab = Lab(seed=seed)
-                with self._lock:
+                lab, restored = primed_lab(self.config.cache_dir, seed)
+            with self._lock:
+                if restored:
+                    self._labs_restored += 1
+                else:
                     self._labs_built += 1
         else:
             del labs[seed]

@@ -18,21 +18,30 @@ Covers the cluster promises layered on top of ``repro serve``:
 ``LocalCluster`` hosts shards on threads behind real loopback HTTP, so
 these tests exercise the exact wire protocol the forked deployment
 (``repro cluster``) speaks; one ``SpawnedCluster`` smoke test covers
-the process-per-shard path end to end.
+the process-per-shard path end to end, and ``repro cluster`` itself
+runs as a process to show that no shard outlives it, however it is
+stopped.
 """
 
 from __future__ import annotations
 
+import glob
 import http.client
 import json
+import os
 import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
 
 import pytest
 
+import repro
 from repro.cluster import (
     AdmissionGate,
     AdmissionPolicy,
@@ -926,3 +935,136 @@ class TestSpawnedCluster:
                 stats = client.stats()
                 assert sorted(stats["shards"]) == shard_names(2)
                 assert all(stats["router"]["healthy"].values())
+
+
+# -- repro cluster as a process ---------------------------------------------------
+
+_STARTUP = re.compile(r"routing \d+ experiments on http://[\d.]+:(\d+) ")
+#: Execs the CLI with SIGINT ignored, as bash starts ``&`` jobs in a
+#: non-interactive shell (and without preexec_fn, unsafe in a threaded
+#: test process).
+_IGNORING_SIGINT = ("import os, signal, sys; "
+                    "signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                    "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+
+
+def _process_tree(pid: int) -> list[int]:
+    """``pid`` and its descendants (Linux /proc)."""
+    out, frontier = [], [pid]
+    while frontier:
+        current = frontier.pop()
+        out.append(current)
+        try:
+            for task in os.listdir(f"/proc/{current}/task"):
+                with open(f"/proc/{current}/task/{task}/children") as fh:
+                    frontier.extend(int(c) for c in fh.read().split())
+        except FileNotFoundError:
+            pass  # exited while walked
+    return out
+
+
+def _alive(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="walks the process tree through Linux /proc")
+class TestClusterProcess:
+    """``repro cluster`` stopped by SIGTERM, SIGKILL or SIGINT leaves nothing."""
+
+    @pytest.fixture
+    def start(self, tmp_path):
+        """Start ``repro cluster --cache``; (process, router port, tree)."""
+        started = []  # (process, its tree at startup)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+
+        def _start(ignore_sigint: bool = False):
+            argv = [sys.executable, "-m", "repro.cli", "cluster", "--port", "0",
+                    "--cache", str(tmp_path)]
+            if ignore_sigint:
+                argv = [sys.executable, "-c", _IGNORING_SIGINT, *argv[1:]]
+            proc = subprocess.Popen(
+                argv, stdout=subprocess.PIPE, text=True,
+                env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+            tree = [proc.pid]
+            started.append((proc, tree))
+            port = None
+            deadline = time.monotonic() + 60.0
+            while port is None:
+                ready, _, _ = select.select(
+                    [proc.stdout], [], [], max(0.0, deadline - time.monotonic()))
+                line = proc.stdout.readline() if ready else ""
+                assert line, "repro cluster printed no startup line"
+                match = _STARTUP.search(line)
+                port = int(match.group(1)) if match else None
+            tree[:] = _process_tree(proc.pid)
+            assert len(tree) == 3, tree  # the CLI and its two shards
+            return proc, port, tree
+
+        yield _start
+        # Kill by the pids seen at startup: an orphaned shard is no
+        # longer in the dead CLI's tree.
+        for proc, tree in started:
+            for pid in tree:
+                if _alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            proc.wait()
+            proc.stdout.close()
+
+    def test_sigterm_tears_down_like_sigint(self, start, tmp_path, reference):
+        proc, port, tree = start()
+        # Nothing is primed before the first request...
+        assert glob.glob(str(tmp_path / "lab-*.snap")) == []
+        with ServiceClient(port=port) as client:
+            reply = client.run("fig4", SEED)
+            stats = client.stats()
+        # ...which primes its seed once and leaves the snapshot.
+        assert len(glob.glob(str(tmp_path / "lab-*.snap"))) == 1
+        assert sum(s["labs_built"] for s in stats["shards"].values()) == 1
+        assert reply["digest"] == result_digest(
+            reference.serve("fig4", seed=SEED).result)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 0
+        assert not [pid for pid in tree if _alive(pid)]
+
+    def test_sigkill_takes_the_shards_with_it(self, start):
+        proc, _port, tree = start()
+        proc.kill()
+        proc.wait(timeout=30)
+        # The shards stop on EOF of the lifeline the dead CLI held.
+        _await(lambda: not any(_alive(pid) for pid in tree), timeout_s=15.0)
+        assert not [pid for pid in tree if _alive(pid)]
+
+    def test_sigint_honoured_when_started_ignoring_it(self, start):
+        proc, _port, tree = start(ignore_sigint=True)
+        proc.send_signal(signal.SIGINT)
+        assert proc.wait(timeout=30) == 0
+        assert not [pid for pid in tree if _alive(pid)]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="walks the process tree through Linux /proc")
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM],
+                         ids=["SIGINT", "SIGTERM"])
+def test_repro_serve_stops_on_signal_with_sigint_ignored(signum):
+    """``repro serve`` runs its teardown on SIGINT and SIGTERM alike."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _IGNORING_SIGINT, "-m", "repro.cli", "serve",
+         "--port", "0"],
+        stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED="1"))
+    try:
+        ready, _, _ = select.select([proc.stdout], [], [], 60.0)
+        assert ready and proc.stdout.readline().startswith("serving ")
+        proc.send_signal(signum)
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+        proc.wait()
+        proc.stdout.close()

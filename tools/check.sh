@@ -133,10 +133,11 @@ assert stats["totals"]["computed"] == 1, stats["totals"]
 assert repeat["source"] == "memory", repeat["source"]
 PY
 
-echo "== cli cluster smoke (repro cluster + repro query processes, ^C) =="
+echo "== cli cluster smoke (repro cluster + repro query processes, ^C, TERM) =="
 # The deployment perfbench drives: the CLI forks shard processes, a
 # separate `repro query` process reads through the router, and one
-# SIGINT must tear the whole tree down with exit status 0.
+# SIGINT, or one SIGTERM, must tear the whole tree down with exit
+# status 0.
 python - <<'PY'
 import json
 import os
@@ -176,7 +177,8 @@ def alive(pid):
         return False
 
 
-with tempfile.TemporaryDirectory() as cache_dir:
+def smoke(cache_dir, signum):
+    """Start the cluster, query it, stop it with ``signum``."""
     cluster = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "cluster", "--port", "0",
          "--cache", cache_dir],
@@ -199,11 +201,10 @@ with tempfile.TemporaryDirectory() as cache_dir:
              "--port", str(port)],
             capture_output=True, text=True, timeout=TIMEOUT_S, check=True)
         reply = json.loads(query.stdout)
-        expected = result_digest(run_experiment("fig10", Lab()))
         assert reply["digest"] == expected, (reply["digest"], expected)
         processes = tree(cluster.pid)
         assert len(processes) >= 3, processes  # the CLI and its shards
-        cluster.send_signal(signal.SIGINT)
+        cluster.send_signal(signum)
         status = cluster.wait(timeout=TIMEOUT_S)
         left = [pid for pid in processes if alive(pid)]
     finally:
@@ -212,10 +213,17 @@ with tempfile.TemporaryDirectory() as cache_dir:
                 os.kill(pid, signal.SIGKILL)
             cluster.wait()
         cluster.stdout.close()
-print(f"cli cluster: shard processes={len(processes) - 1} "
-      f"source={reply['source']} exit={status} left={left}")
-assert status == 0, status
-assert not left, f"processes outlived SIGINT: {left}"
+    print(f"cli cluster {signal.Signals(signum).name}: "
+          f"shard processes={len(processes) - 1} source={reply['source']} "
+          f"exit={status} left={left}")
+    assert status == 0, status
+    assert not left, f"processes outlived {signal.Signals(signum).name}: {left}"
+
+
+expected = result_digest(run_experiment("fig10", Lab()))
+with tempfile.TemporaryDirectory() as cache_dir:
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        smoke(cache_dir, signum)
 PY
 
 echo "== cluster benchmark gate (committed JSON self-consistency) =="
