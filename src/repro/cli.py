@@ -305,15 +305,18 @@ def _run_serve(args) -> int:
         service.close()
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"serving {len(EXPERIMENTS)} experiments on "
-          f"http://{args.host}:{port} (jobs={args.jobs}, "
-          f"cache={args.cache or 'memory only'})")
     try:
+        # Inside the try: a signal that lands as soon as the startup
+        # line is out still runs the teardown.  No server.shutdown():
+        # the loop ran on this thread and has returned (or never began,
+        # and shutdown() would then wait for it forever).
+        print(f"serving {len(EXPERIMENTS)} experiments on "
+              f"http://{args.host}:{port} (jobs={args.jobs}, "
+              f"cache={args.cache or 'memory only'})")
         server.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down")
     finally:
-        server.shutdown()
         server.server_close()
         service.close()
     return 0
@@ -348,14 +351,17 @@ def _run_cluster(args) -> int:
     except (ReproError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    shard_list = ", ".join(f"{info.name}:{info.port}"
-                           for info in cluster.shard_infos)
-    port = cluster.router_address[1]
-    print(f"routing {len(EXPERIMENTS)} experiments on "
-          f"http://{args.host}:{port} -> {args.shards} shard(s) "
-          f"[{shard_list}] (replicas={args.replicas}, jobs={args.jobs}, "
-          f"cache={args.cache or 'per-shard memory only'})")
     try:
+        # Inside the try: a signal that lands as soon as the startup
+        # line is out still stops the shards.
+        shard_list = ", ".join(f"{info.name}:{info.port}"
+                               for info in cluster.shard_infos)
+        port = cluster.router_address[1]
+        print(f"routing {len(EXPERIMENTS)} experiments on "
+              f"http://{args.host}:{port} -> {args.shards} shard(s) "
+              f"[{shard_list}] (replicas={args.replicas}, "
+              f"jobs={args.jobs}, "
+              f"cache={args.cache or 'per-shard memory only'})")
         cluster.serve_forever()
     except KeyboardInterrupt:
         print("\nshutting down cluster")

@@ -301,7 +301,11 @@ class SpawnedCluster:
         if self.router is not None:
             self.router.close()
         if self.router_server is not None:
-            self.router_server.shutdown()
+            if self._router_thread is not None:
+                # Only a loop on another thread needs stopping: one run
+                # by serve_forever() on the caller's thread has returned
+                # (or never began, and shutdown() would wait forever).
+                self.router_server.shutdown()
             self.router_server.server_close()
             self.router_server = None
         if self._router_thread is not None:

@@ -14,6 +14,9 @@ snapshot of the field at each timestep the pipeline actually observes
 same key replay those snapshots; if a replay is asked for a timestep
 that was never recorded, it transparently materializes a fresh live
 solver, fast-forwards it, and serves (and records) the real field.
+Either way an observed field is the recorded read-only snapshot while
+the budget lasts, so its content fingerprint is computed once and
+pinned for every later consumer.
 
 Only pipelines that treat the solver as step-and-observe (``step``,
 ``grid``, ``time``) use the cache; pipelines that mutate solver state
@@ -55,8 +58,7 @@ class _Trajectory:
         snap = self.snapshots.get(steps)
         if snap is None:
             return None
-        grid = Grid2D.from_array(snap, self.lx, self.ly)
-        return grid
+        return Grid2D.from_array(snap, self.lx, self.ly)
 
 
 class ScienceCache:
@@ -67,17 +69,24 @@ class ScienceCache:
         self._spent_bytes = 0
         self._trajectories: dict[tuple[int, int, int], _Trajectory] = {}
 
-    def record(self, trajectory: _Trajectory, steps: int,
-               data: np.ndarray) -> None:
-        """Store a snapshot of ``data`` at ``steps`` if the budget allows."""
-        if steps in trajectory.snapshots:
-            return
-        if self._spent_bytes + data.nbytes > self.budget_bytes:
-            return
-        snap = data.copy()
-        snap.flags.writeable = False
-        trajectory.snapshots[steps] = snap
-        self._spent_bytes += snap.nbytes
+    def observe(self, trajectory: _Trajectory, steps: int,
+                grid: Grid2D) -> Grid2D:
+        """The field ``grid`` holds at ``steps``, as pipelines see it.
+
+        Records a snapshot if the budget allows, and hands out the
+        recorded read-only snapshot whenever one exists, so every
+        consumer of that timestep (writer, checksums, renderer)
+        fingerprints one immutable array once.  Past the budget the live
+        grid comes back.
+        """
+        if steps not in trajectory.snapshots:
+            if self._spent_bytes + grid.data.nbytes > self.budget_bytes:
+                return grid
+            snap = grid.data.copy()
+            snap.flags.writeable = False
+            trajectory.snapshots[steps] = snap
+            self._spent_bytes += snap.nbytes
+        return trajectory.grid_at(steps)
 
     def solver_for(self, rng: RngRegistry, grid_scale: int = 1,
                    sub_steps: int = SUB_STEPS):
@@ -113,10 +122,9 @@ class _RecordingSolver:
 
     @property
     def grid(self) -> Grid2D:
-        grid = self._solver.grid
-        self._cache.record(self._trajectory, self._solver.steps_taken,
-                           grid.data)
-        return grid
+        return self._cache.observe(self._trajectory,
+                                   self._solver.steps_taken,
+                                   self._solver.grid)
 
     def __getattr__(self, name: str):
         return getattr(self._solver, name)
@@ -160,9 +168,8 @@ class _ReplaySolver:
             return cached_grid
         grid = self._trajectory.grid_at(self._steps)
         if grid is None:
-            live = self._materialize()
-            grid = live.grid
-            self._cache.record(self._trajectory, self._steps, grid.data)
+            grid = self._cache.observe(self._trajectory, self._steps,
+                                       self._materialize().grid)
         self._grid_cache = (self._steps, grid)
         return grid
 

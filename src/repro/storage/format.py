@@ -20,12 +20,21 @@ offset    size   field
 Chunk offsets are relative to the start of the container.  Every chunk is
 CRC-checked on decode — a reproduction of a storage study should notice
 when its storage stack corrupts data.
+
+The CRC index and the field fingerprint (:mod:`repro.fingerprint`) are
+one checksum scheme: an uncompressed float64 field chunked at
+``CHUNK_BYTES`` has the fingerprint's row blocks as its chunks, so the
+writer passes the fingerprint's CRCs to :func:`encode_container` instead
+of hashing the field again, and :func:`decode_container` returns the CRCs
+it validated for the reader to key its memo and pin the read-back
+field's fingerprint with.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.errors import FileFormatError
@@ -43,7 +52,8 @@ class ChunkedContainer:
     ``flags`` carries the codec id the chunks were encoded with; the
     reader resolves it through :mod:`repro.storage.compression`.
     ``chunks`` holds CRC-validated views into the decoded blob (zero
-    copy); ``payload_view`` spans all of them when they are laid out
+    copy) and ``crcs`` the checksums they were validated against;
+    ``payload_view`` spans all of them when they are laid out
     contiguously, letting whole-grid readers skip the concatenation.
     """
 
@@ -54,6 +64,7 @@ class ChunkedContainer:
     chunks: tuple[bytes | memoryview, ...]
     flags: int = 0
     payload_view: memoryview | None = None
+    crcs: tuple[int, ...] = ()
 
     @property
     def payload(self) -> bytes:
@@ -69,16 +80,25 @@ class ChunkedContainer:
 
 
 def encode_container(
-    chunks: list[bytes] | tuple[bytes, ...],
+    chunks: Sequence[bytes | memoryview],
     nx: int,
     ny: int,
     timestep: int = 0,
     physical_time: float = 0.0,
     flags: int = 0,
+    crcs: Sequence[int] | None = None,
 ) -> bytes:
-    """Serialize chunks into the container format."""
+    """Serialize chunks into the container format.
+
+    ``chunks`` are bytes or byte-format memoryviews; joining them into
+    the container is the one copy.  ``crcs``, when the caller already
+    has them, are the chunks' crc32s and become the index unchecked;
+    otherwise each chunk is hashed here.
+    """
     if not chunks:
         raise FileFormatError("container needs at least one chunk")
+    if crcs is not None and len(crcs) != len(chunks):
+        raise FileFormatError(f"{len(crcs)} CRCs for {len(chunks)} chunks")
     if nx <= 0 or ny <= 0:
         raise FileFormatError("grid dimensions must be positive")
     if timestep < 0:
@@ -91,19 +111,18 @@ def encode_container(
     index_size = _INDEX_ENTRY.size * len(chunks)
     index = bytearray(index_size)
     offset = len(header) + index_size
-    pos = 0
-    for chunk in chunks:
+    for i, chunk in enumerate(chunks):
         if not chunk:
             raise FileFormatError("empty chunk")
-        _INDEX_ENTRY.pack_into(index, pos, offset, len(chunk),
-                               zlib.crc32(chunk) & 0xFFFFFFFF)
-        pos += _INDEX_ENTRY.size
+        crc = zlib.crc32(chunk) if crcs is None else crcs[i]
+        _INDEX_ENTRY.pack_into(index, i * _INDEX_ENTRY.size, offset,
+                               len(chunk), crc)
         offset += len(chunk)
-    return b"".join((header, bytes(index), *chunks))
+    return b"".join((header, index, *chunks))
 
 
 def decode_container(blob: bytes) -> ChunkedContainer:
-    """Parse and CRC-validate a container."""
+    """Parse and CRC-validate a container (one pass over the payload)."""
     if len(blob) < _HEADER.size:
         raise FileFormatError("container truncated before header")
     magic, version, flags, nx, ny, n_chunks, timestep, phys_t = _HEADER.unpack_from(blob)
@@ -116,6 +135,7 @@ def decode_container(blob: bytes) -> ChunkedContainer:
         raise FileFormatError("container truncated inside chunk index")
     view = memoryview(blob)
     chunks = []
+    crcs = []
     contiguous = True
     first_offset = prev_end = None
     for i in range(n_chunks):
@@ -125,9 +145,10 @@ def decode_container(blob: bytes) -> ChunkedContainer:
         chunk = view[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise FileFormatError(f"chunk {i} truncated")
-        if zlib.crc32(chunk) & 0xFFFFFFFF != crc:
+        if zlib.crc32(chunk) != crc:
             raise FileFormatError(f"chunk {i} failed CRC validation")
         chunks.append(chunk)
+        crcs.append(crc)
         if first_offset is None:
             first_offset = offset
         elif offset != prev_end:
@@ -137,7 +158,8 @@ def decode_container(blob: bytes) -> ChunkedContainer:
                     if contiguous and first_offset is not None else None)
     return ChunkedContainer(nx=nx, ny=ny, timestep=timestep,
                             physical_time=phys_t, chunks=tuple(chunks),
-                            flags=flags, payload_view=payload_view)
+                            flags=flags, payload_view=payload_view,
+                            crcs=tuple(crcs))
 
 
 def chunk_extent(blob_header: bytes, chunk_index: int) -> tuple[int, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import StorageError
-from repro.fingerprint import ContentMemo, blob_fingerprint
+from repro.fingerprint import ContentMemo, pin_fingerprint, pinned, prefix_hash
 from repro.sim.grid import Grid2D
 from repro.storage.compression import codec_from_id
 from repro.storage.format import (
@@ -24,13 +24,22 @@ from repro.storage.format import (
 from repro.system.blockdev import IoStats
 from repro.system.filesystem import FileSystem
 
-#: blob fingerprint -> (timestep, read-only grid array).  Decode + CRC
-#: validation + grid reassembly is a pure function of the container
-#: bytes; repeated reads of identical containers (paired runs, repeated
-#: experiments) serve the already-validated array.  Serving the *same*
-#: array object also lets downstream content caches (frame rendering)
-#: key it by identity instead of re-hashing the field.
+#: container key -> (timestep, read-only grid array).  Grid reassembly is
+#: a pure function of the container bytes; repeated reads of identical
+#: containers (paired runs, repeated experiments) serve the
+#: already-validated array.  Serving the *same* array object also lets
+#: downstream content caches (frame rendering) key it by identity
+#: instead of re-hashing the field.
 _GRID_MEMO = ContentMemo()
+
+
+def _grid_key(container: ChunkedContainer, blob: bytes) -> tuple:
+    """Memo key of a validated container: its header fields, the chunk
+    CRCs it was validated against, and a hash of its prefix (which also
+    covers the chunk index)."""
+    return (container.flags, container.nx, container.ny,
+            container.timestep, container.physical_time, container.crcs,
+            prefix_hash(blob))
 
 
 @dataclass
@@ -97,12 +106,26 @@ class DataReader:
                                      cpu_time=cpu, io=io)
 
     def read_grid(self, timestep: int) -> tuple[Grid2D, ReadReport]:
-        """Load a timestep, decode its codec, reassemble the grid."""
+        """Load a timestep, decode its codec, reassemble the grid.
+
+        A ``bytes`` blob this reader already decoded finds its memo key
+        pinned to it (the encode memo and the filesystem hand repeat
+        reads the same object); any other blob is decoded first, which
+        CRC-validates every chunk in one pass, and the validated CRCs
+        key the memo.
+        """
         name = self.filename(timestep)
         blob, cpu, io = self._load_blob(name)
         report = ReadReport(name=name, nbytes=len(blob), cpu_time=cpu, io=io)
-        memo_key = blob_fingerprint(blob)
-        hit = _GRID_MEMO.get(memo_key)  # greenlint: ignore[GL18]  (keyed on the blob's content fingerprint: value-deterministic)
+        container = None
+        immutable = type(blob) is bytes
+        memo_key = pinned(blob) if immutable else None
+        if memo_key is None:
+            container = decode_container(blob)
+            memo_key = _grid_key(container, blob)
+            if immutable:
+                pinned(blob, memo_key)
+        hit = _GRID_MEMO.get(memo_key)  # greenlint: ignore[GL18]  (keyed on the container's header, validated chunk CRCs and prefix hash: value-deterministic)
         if hit is not None:
             stored_timestep, data = hit
             if stored_timestep != timestep:
@@ -110,15 +133,18 @@ class DataReader:
                     f"file {name!r} claims timestep {stored_timestep}"
                 )
             return Grid2D.from_array(data), report
-        container = decode_container(blob)
+        if container is None:
+            container = decode_container(blob)
         if container.timestep != timestep:
             raise StorageError(
                 f"file {name!r} claims timestep {container.timestep}"
             )
         codec = codec_from_id(container.flags)
-        if container.payload_view is not None and codec.name == "identity":
+        uncompressed = (container.payload_view is not None
+                        and codec.name == "identity")
+        if uncompressed:
             # Uncompressed chunks lie contiguously in the blob: hand the
-            # spanning view straight to the grid (one copy, no join).
+            # spanning view straight to the grid (no copy, no join).
             payload = container.payload_view
         else:
             payload = b"".join(codec.decode(c) for c in container.chunks)
@@ -126,17 +152,17 @@ class DataReader:
         # grids are rendered and checksummed, never stepped.
         grid = Grid2D.from_bytes(payload, container.nx, container.ny,
                                  copy=False)
+        if uncompressed:
+            # The validated CRCs were computed from the grid's own bytes.
+            pin_fingerprint(grid.data, container.chunks, container.crcs)
         _GRID_MEMO.put(memo_key, (container.timestep, grid.data),
                        grid.data.nbytes)
         return grid, report
 
-    def read_chunk(self, timestep: int, chunk_index: int,
-                   n_chunks_hint: int | None = None) -> tuple[bytes, ReadReport]:
-        """Selective read: header + index + exactly one chunk.
-
-        ``n_chunks_hint`` bounds the header read; when None, a generous
-        index prefix is fetched.
-        """
+    def read_chunk(self, timestep: int,
+                   chunk_index: int) -> tuple[bytes, ReadReport]:
+        """Selective read: header + index through the chunk's entry, then
+        exactly that chunk."""
         name = self.filename(timestep)
         cpu = 0.0
         io = IoStats()
@@ -144,8 +170,7 @@ class DataReader:
             r = self.fs.drop_caches()
             cpu += r.cpu_time
             io = io.merge(r.io)
-        head_bytes = header_size(n_chunks_hint if n_chunks_hint is not None else 64)
-        head_bytes = min(head_bytes, self.fs.size(name))
+        head_bytes = min(header_size(chunk_index + 1), self.fs.size(name))
         head, r1 = self.fs.read(name, 0, head_bytes)
         offset, nbytes = chunk_extent(head, chunk_index)
         chunk, r2 = self.fs.read(name, offset, nbytes)

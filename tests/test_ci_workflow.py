@@ -2,8 +2,9 @@
 
 Structural checks on ``.github/workflows/ci.yml``: the YAML parses, the
 matrix covers the supported interpreters, and the jobs actually invoke
-``tools/check.sh`` and the benchmark-regression comparison (a workflow
-that silently runs nothing would green-light every PR).
+``tools/check.sh``, the benchmark-regression comparison and perfbench's
+self-checks (a workflow that silently runs nothing would green-light
+every PR).
 """
 
 import os
@@ -68,6 +69,16 @@ class TestWorkflowDocument:
         steps = doc["jobs"]["bench-regression"]["steps"]
         uploads = [s for s in steps if "upload-artifact" in s.get("uses", "")]
         assert uploads and uploads[0].get("if") == "always()"
+
+    def test_perfbench_job_runs_the_benchmark_self_checks(self, doc):
+        job = doc["jobs"]["perfbench-selfcheck"]
+        assert "continue-on-error" not in job
+        runs = [step.get("run", "") for step in job["steps"]]
+        install = next(i for i, run in enumerate(runs)
+                       if 'pip install -e ".[test]"' in run)
+        tests = next(i for i, run in enumerate(runs)
+                     if "pytest -q perfbench" in run)
+        assert install < tests
 
     def test_lint_job_is_advisory(self, doc):
         job = doc["jobs"]["lint-advisory"]

@@ -12,7 +12,9 @@ from repro.pipelines import (
     PipelineConfig,
     PipelineRunner,
     PostProcessingPipeline,
+    science,
 )
+from repro.rng import RngRegistry
 
 
 @pytest.fixture(scope="module")
@@ -179,3 +181,52 @@ class TestDeterminism:
         assert not np.array_equal(a.profile["system"], b.profile["system"])
         # But the modeled time is seed-independent.
         assert a.execution_time_s == b.execution_time_s
+
+
+class TestScienceSnapshots:
+    """Observed fields are the science cache's immutable snapshots."""
+
+    def test_recorded_field_is_the_read_only_snapshot(self):
+        cache = science.ScienceCache()
+        solver = cache.solver_for(RngRegistry(41))
+        solver.step(2)
+        observed = solver.grid.data
+        assert not observed.flags.writeable
+        assert observed is solver._trajectory.snapshots[2]
+        assert solver.grid.data is observed
+        replay = cache.solver_for(RngRegistry(41))
+        replay.step(2)
+        assert replay.grid.data is observed
+
+    def test_past_the_budget_the_live_grid_comes_back(self):
+        cache = science.ScienceCache(budget_bytes=0)
+        solver = cache.solver_for(RngRegistry(42))
+        solver.step(1)
+        observed = solver.grid.data
+        assert observed.flags.writeable
+        assert observed is solver._solver.grid.data
+        assert solver._trajectory.snapshots == {}
+
+    @staticmethod
+    def _pair(seed):
+        config = PipelineConfig(case=CASE_STUDIES[3], verify_data=True)
+        runner = PipelineRunner(seed=seed)
+        return (runner.run(PostProcessingPipeline(config)),
+                runner.run(InSituPipeline(config)))
+
+    def test_unbudgeted_pair_matches_cached_pair(self, monkeypatch):
+        monkeypatch.setattr(science, "_CACHE",
+                            science.ScienceCache(budget_bytes=0))
+        live = self._pair(43)
+        monkeypatch.setattr(science, "_CACHE", science.ScienceCache())
+        cached = self._pair(43)
+        for a, b in zip(live, cached):
+            assert a.verification.ok and b.verification.ok
+            assert a.verification.grids_checked == b.verification.grids_checked
+            assert (a.images_rendered, a.image_bytes, a.data_bytes_written,
+                    a.data_bytes_read) == (b.images_rendered, b.image_bytes,
+                                           b.data_bytes_written,
+                                           b.data_bytes_read)
+            assert a.execution_time_s == b.execution_time_s
+            assert a.energy_j == b.energy_j
+            assert a.extra == b.extra

@@ -1,13 +1,17 @@
 """Timestep writer/reader over the simulated filesystem."""
 
+import zlib
+
 import numpy as np
 import pytest
 
-from repro.errors import StorageError
+from repro.errors import FileFormatError, StorageError
+from repro.fingerprint import field_fingerprint, pinned
 from repro.machine import HddModel
 from repro.machine.specs import DiskSpec
 from repro.sim import Grid2D
 from repro.storage import DataReader, DataWriter
+from repro.storage.compression import ZlibCodec
 from repro.system import BlockQueue, FileSystem, PageCache
 from repro.units import KiB
 
@@ -102,8 +106,74 @@ class TestReader:
         g.data[:] = np.random.default_rng(1).random((512, 128))
         DataWriter(fs).write_timestep(g, 0)
         reader = DataReader(fs)
-        chunk, report = reader.read_chunk(0, 2, n_chunks_hint=4)
+        chunk, report = reader.read_chunk(0, 2)
         assert len(chunk) == 128 * KiB
         _, full = DataReader(fs).read_grid(0)
         assert report.io.bytes_read < full.io.bytes_read / 2
         assert chunk == g.chunks(128 * KiB)[2]
+
+    def test_selective_read_past_the_first_64_chunks(self, fs):
+        g = Grid2D(1024, 256)  # 2 KiB rows: 128 chunks of 16 KiB
+        g.data[:] = np.random.default_rng(2).random((1024, 256))
+        DataWriter(fs, chunk_bytes=16 * KiB).write_timestep(g, 0)
+        expected = g.chunks(16 * KiB)
+        assert len(expected) == 128
+        reader = DataReader(fs)
+        for index in (0, 63, 64, 127):
+            chunk, _ = reader.read_chunk(0, index)
+            assert chunk == expected[index]
+
+
+def big_grid(seed=0) -> Grid2D:
+    g = Grid2D(1024, 1024)  # 8 MiB: 64 row blocks of 128 KiB
+    g.data[:] = np.random.default_rng(seed).random((1024, 1024))
+    return g
+
+
+class TestSharedChecksums:
+    """The fingerprint's block CRCs and the container's CRC index are one."""
+
+    def test_written_index_is_the_fingerprint(self, fs):
+        grid = big_grid(3)
+        DataWriter(fs).write_timestep(grid, 0)
+        container, _ = DataReader(fs).read_timestep(0)
+        fingerprint = field_fingerprint(grid.data)
+        assert len(container.crcs) == 64
+        assert container.crcs == fingerprint[2]
+
+    @pytest.mark.parametrize("writer_kwargs", [
+        {"codec": ZlibCodec()},
+        {"chunk_bytes": 64 * KiB},
+    ], ids=["zlib", "64KiB-chunks"])
+    def test_other_codecs_and_chunkings_checksum_what_they_store(
+            self, fs, writer_kwargs):
+        grid = big_grid(4)
+        DataWriter(fs, **writer_kwargs).write_timestep(grid, 0)
+        container, _ = DataReader(fs).read_timestep(0)
+        assert container.crcs == tuple(zlib.crc32(c) for c in container.chunks)
+        assert container.crcs != field_fingerprint(grid.data)[2]
+        back, _ = DataReader(fs).read_grid(0)
+        np.testing.assert_array_equal(back.data, grid.data)
+
+    def test_flipped_bit_in_a_new_blob_is_caught(self, fs):
+        grid = big_grid(5)
+        DataWriter(fs).write_timestep(grid, 0)
+        DataReader(fs).read_grid(0)  # decoded, memoized and pinned
+        blob, _ = fs.read("ts0000.dat")
+        corrupt = bytearray(blob)
+        corrupt[len(corrupt) // 2] ^= 0x01
+        fs.delete("ts0000.dat")
+        fs.write("ts0000.dat", bytes(corrupt))
+        with pytest.raises(FileFormatError):
+            DataReader(fs).read_grid(0)
+
+    def test_read_back_fingerprint_is_pinned_and_exact(self, fs):
+        grid = big_grid(6)
+        DataWriter(fs).write_timestep(grid, 0)
+        back, _ = DataReader(fs).read_grid(0)
+        assert not back.data.flags.writeable
+        pin = pinned(back.data)
+        assert pin is not None
+        scratch = back.data.copy()
+        assert scratch.flags.writeable
+        assert pin == field_fingerprint(scratch) == field_fingerprint(grid.data)

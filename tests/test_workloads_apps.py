@@ -1,7 +1,13 @@
 """Synthetic application profiles (future-work item 1)."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.calibration import CaseStudyConfig
 from repro.errors import ConfigError
 from repro.pipelines import PipelineRunner
@@ -60,3 +66,38 @@ class TestRuns:
         # 3 bursts x 4 dumps = 12 I/O events.
         assert outcome.post.timeline.stage_totals()["nnwrite"].span_count == 12
         assert outcome.insitu.images_rendered == 12
+
+
+#: Runs one app with ``zlib.crc32`` wrapped, counting the bytes hashed
+#: from the fingerprint and container modules.
+_COUNT_CRC_BYTES = """
+import json, sys, zlib
+hashed = {"repro.fingerprint": 0, "repro.storage.format": 0}
+crc32 = zlib.crc32
+def counting_crc32(data, value=0):
+    module = sys._getframe(1).f_globals.get("__name__")
+    if module in hashed:
+        hashed[module] += memoryview(data).nbytes
+    return crc32(data, value)
+zlib.crc32 = counting_crc32
+from repro.workloads.apps import run_app
+outcome = run_app("xrage-like")
+print(json.dumps({"hashed": sum(hashed.values()),
+                  "written": outcome.post.data_bytes_written}))
+"""
+
+
+class TestChecksumPasses:
+    def test_each_dumped_byte_is_hashed_once_per_direction(self):
+        # A fresh process, so no memo holds a fingerprint yet: the post
+        # run hashes each dumped byte once writing (the fingerprint that
+        # is also the CRC index) and once reading (decode validation);
+        # verify, render and the in-situ run reuse pinned fingerprints.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        out = subprocess.run(
+            [sys.executable, "-c", _COUNT_CRC_BYTES], check=True,
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=src))
+        counts = json.loads(out.stdout.strip().splitlines()[-1])
+        assert counts["written"] > 0
+        assert counts["hashed"] <= 2 * counts["written"]

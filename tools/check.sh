@@ -242,12 +242,12 @@ import time
 from repro.experiments.registry import run_all
 
 # Raw-speed ceiling: with the fused kernels, science cache, and memoized
-# Lab the suite's first in-process run lands around 1.7 s on the
-# reference container (14.77 s at the pre-optimization baseline; repeat
-# runs take ~0.35 s once the process caches are warm); tripping 3 s
-# means a real regression, not scheduler noise.  Shared CI runners are
-# far noisier than the reference container, so the workflow raises the
-# ceiling via REPRO_PERF_CEILING_S instead of weakening the default.
+# Lab the suite's first in-process run lands around 2 s on the
+# reference container (1.9-2.1 s over three runs; 14.77 s at the
+# pre-optimization baseline); tripping 3 s means a real regression, not
+# scheduler noise.  Shared CI runners are far noisier than the reference
+# container, so the workflow raises the ceiling via REPRO_PERF_CEILING_S
+# instead of weakening the default.
 CEILING_S = float(os.environ.get("REPRO_PERF_CEILING_S", "3.0"))
 start = time.perf_counter()
 run_all()
