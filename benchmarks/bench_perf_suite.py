@@ -19,8 +19,8 @@ Two extra series ride along:
   round is separate so wrapper overhead never pollutes the headline
   ``run_all_s``.
 * **Transport** — a separate engine pass (``jobs=2`` plus a throwaway
-  result cache) times the parent-side codec work: encoding results into
-  cache entries and decoding worker frames / cache hits back.
+  result cache) times the parent-side codec work: framing results into
+  cache entries and decoding cache hits back.
 """
 
 import json
@@ -131,7 +131,11 @@ def _instrument() -> StageTimer:
 
 
 def _measure_transport() -> dict:
-    """Parent-side codec time across a cold-store + warm-load engine pass."""
+    """Parent-side codec time across a cold-store + warm-load engine pass.
+
+    ``encodes`` counts cache stores and ``decodes`` cache loads: pool
+    workers return results through the pool's own pickling, not frames.
+    """
     from repro.experiments import engine
 
     acc = {"encode_s": 0.0, "decode_s": 0.0, "encodes": 0, "decodes": 0}

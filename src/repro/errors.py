@@ -128,7 +128,12 @@ class ProtocolError(ReproError):
 
 
 class CodecError(ReproError):
-    """Binary result codec failure (truncated, corrupt, or foreign bytes)."""
+    """A cache-directory frame failed its checks.
+
+    Raised for a short frame, a foreign magic or version, a sha256
+    mismatch, a payload that does not unpickle or holds the wrong
+    object, and a Lab snapshot of another seed.
+    """
 
 
 class PipelineError(ReproError):

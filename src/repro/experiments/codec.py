@@ -1,630 +1,121 @@
-"""Flat binary codec for hot experiment-result records.
+"""The sha256-checked frame of every file in a result-cache directory.
 
-The engine's worker→parent transport and its on-disk result cache both
-used to round-trip every :class:`~repro.experiments.figures.ExperimentResult`
-through pickle.  Pickle walks the object graph through its generic
-machinery; the records that dominate real payloads are a handful of flat
-dataclasses (:class:`~repro.system.blockdev.IoStats`,
-:class:`~repro.power.breakdown.StagePower`,
-:class:`~repro.machine.disk.DiskResult`) plus bulk array carriers
-(:class:`~repro.sim.grid.Grid2D`, images inside
-:class:`~repro.viz.render.RenderResult`).  This module encodes exactly
-those with ``struct`` — fixed little-endian layouts, bulk buffers
-appended verbatim via ``memoryview`` so arrays move without per-element
-work — and falls back to an embedded pickle stream for anything it does
-not know, so coverage can grow without a format break.
+A cached result entry and a warm-Lab snapshot are each one frame::
 
-Wire format
------------
-A cache entry / transport frame is::
+    magic (4 bytes) | u16 version | sha256(payload) (32 bytes) | payload
 
-    magic b"RPRC" | u16 version | u32 trailer length | trailer | tree
+A result entry's payload is the result's canonical protocol-4 pickle
+(:func:`pickle_result`), so the stored digest is the same sha256 that
+the serving layer's ``/run`` replies carry.  A snapshot's payload is
+laid out by :mod:`~repro.experiments.engine`.  :func:`write_file` is
+the one writer both go through (tmp file + rename).
 
-``tree`` is one tagged node: ``u8 tag`` followed by the tag's fixed
-layout.  Variable-length payloads (strings, buffers, containers) carry a
-``u32`` length/count prefix.  All floats are IEEE float64 and all round
-trips are bit-identical.  ``trailer`` is a single protocol-4 pickle
-stream holding every fallback frame, dumped by **one** pickler in tree
-pre-order; a ``pickle`` node in the tree consumes the next dump.
+Reading never trusts its input: a short frame, a foreign magic or
+version, a digest mismatch, a payload that fails to unpickle, or one
+that is not an :class:`~repro.experiments.figures.ExperimentResult`
+raises :class:`~repro.errors.CodecError`, which the cache reader turns
+into a miss.  Files from older formats (v1 flat frames, raw pickles)
+fail the version or magic check and are overwritten by the next store.
 
-Sharing is preserved exactly.  The engine's determinism checks compare
-results at the pickle-byte level, and pickle bytes encode the object
-graph's *sharing structure*, so a round trip through this codec must
-reproduce which nodes are the same object — value equality is not
-enough.  Three mechanisms cover every direction:
-
-* codec ↔ codec — the first occurrence of a shareable object claims the
-  next slot in pre-order; later occurrences encode as ``ref`` nodes and
-  decode to the same object (pickle's memo, flattened).
-* pickle ↔ pickle — all fallback frames share one pickler/unpickler
-  memo, so an object inside one frame back-references another frame's.
-* across the boundary — the fallback pickler maps already-encoded codec
-  objects to their slots via ``persistent_id``; objects first seen
-  inside a fallback frame are harvested from the pickler memo so later
-  codec nodes can reference them with ``pref`` nodes.
-
-Decoding never trusts its input: truncation, a bad magic, an unknown
-tag, a slot index out of range, a desynced fallback stream, or a
-foreign version raise :class:`~repro.errors.CodecError` (a
-``ReproError``), so a pool worker or cache reader degrades to recompute
-instead of crashing.
+The digest detects corruption; it does not authenticate.  Payloads are
+pickles, so a cache directory must be trusted like the code that reads
+it: whoever can write a file there can run code in the reader.
 """
 
 from __future__ import annotations
 
-import io
+import hashlib
+import os
 import pickle
 import struct
-from typing import Any
-
-import numpy as np
+import tempfile
 
 from repro.errors import CodecError
 from repro.experiments.figures import ExperimentResult
-from repro.machine.disk import DiskResult, OpKind
-from repro.power.breakdown import StagePower
-from repro.sim.grid import Grid2D
-from repro.system.blockdev import IoStats
-from repro.viz.image import Image
-from repro.viz.render import RenderResult
 
-#: Bump on any wire-format change; foreign versions are rejected.
-CODEC_VERSION = 1
+#: Fixed pickle protocol, so entries and the digests taken over them do
+#: not depend on the interpreter's default.
+PICKLE_PROTOCOL = 4
 
-#: Cache-entry / frame magic.  Distinct from pickle's ``b"\x80\x04"``
-#: opener, so a reader can sniff which decoder a blob belongs to.
+#: Result-entry magic and format version; foreign versions are rejected.
 MAGIC = b"RPRC"
+CODEC_VERSION = 2
 
-#: Fixed protocol for the embedded fallback stream (mirrors the engine).
-_PICKLE_PROTOCOL = 4
-
-_T_NONE = 0x00
-_T_FALSE = 0x01
-_T_TRUE = 0x02
-_T_INT = 0x03        # i64; wider integers take the pickle fallback
-_T_FLOAT = 0x04      # f64
-_T_STR = 0x05
-_T_BYTES = 0x06
-_T_TUPLE = 0x07
-_T_LIST = 0x08
-_T_DICT = 0x09
-_T_NDARRAY = 0x0A    # C-contiguous, simple dtype
-_T_REF = 0x0B        # back-reference to an earlier shareable node's slot
-_T_PREF = 0x0C       # reference into the fallback stream's pickle memo
-_T_IOSTATS = 0x10
-_T_DISKRESULT = 0x11
-_T_STAGEPOWER = 0x12
-_T_GRID2D = 0x13
-_T_RENDERRESULT = 0x14
-_T_IMAGE = 0x15
-_T_OPKIND = 0x16
-_T_RESULT = 0x17
-_T_PICKLE = 0x7F
-
-_U8 = struct.Struct("<B")
-_U32 = struct.Struct("<I")
-_I64 = struct.Struct("<q")
-_F64 = struct.Struct("<d")
-_HEADER = struct.Struct("<4sH")
-#: IoStats: 4 time floats, 4 traffic counters, fault float, 2 counters —
-#: declaration order of the dataclass.
-_IOSTATS = struct.Struct("<4d4qd2q")
-#: DiskResult: 4 time floats, nbytes, op(u8), cached(u8), n_ops.
-_DISKRESULT = struct.Struct("<4dqBBq")
-
-_OPKIND_CODE = {OpKind.READ: 0, OpKind.WRITE: 1}
-_OPKIND_FROM = {0: OpKind.READ, 1: OpKind.WRITE}
-
-_U32_MAX = 0xFFFFFFFF
-_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
-
-#: Types pickle never memoizes; skipping them keeps ``persistent_id``
-#: (called for every node the fallback pickler saves) cheap.
-_ATOMIC = (type(None), bool, int, float)
-
-#: Slot placeholder while a shareable node's children are still being
-#: decoded; a ref that resolves to it means the frame encodes a cycle
-#: through an immutable constructor, which this codec does not support.
-_PENDING = object()
+_HEADER = struct.Struct("<4sH32s")  # magic | version | sha256(payload)
 
 
-# -- encoding ---------------------------------------------------------------------
+def pickle_result(result: ExperimentResult) -> bytes:
+    """Canonical byte representation of a result.
 
-
-def _put_bytes(out: bytearray, payload: bytes | memoryview) -> None:
-    if len(payload) > _U32_MAX:
-        raise CodecError(f"payload of {len(payload)} bytes exceeds u32 frame")
-    out += _U32.pack(len(payload))
-    out += payload
-
-
-def _encode_ndarray(out: bytearray, arr: np.ndarray) -> bool:
-    """Flat-encode a C-contiguous simple array; False defers to pickle."""
-    if not arr.flags.c_contiguous or arr.dtype.hasobject:
-        return False
-    out += _U8.pack(_T_NDARRAY)
-    _put_bytes(out, arr.dtype.str.encode())
-    out += _U32.pack(arr.ndim)
-    for dim in arr.shape:
-        out += _I64.pack(dim)
-    if arr.ndim == 0 or arr.size == 0:
-        # memoryview cannot cast 0-d or empty views; tobytes copies at
-        # most one element here.
-        _put_bytes(out, arr.tobytes())
-    else:
-        # memoryview of the buffer: appended without an intermediate copy.
-        _put_bytes(out, memoryview(arr).cast("B"))
-    return True
-
-
-class _FallbackPickler(pickle.Pickler):
-    """The shared fallback pickler: codec-known objects become pids.
-
-    Any object the codec already assigned a slot is emitted as a
-    persistent id (the slot index) instead of being re-pickled, so
-    sharing between the flat tree and fallback interiors survives the
-    round trip.  The current dump root is excluded — its slot was
-    claimed by the node that triggered this dump.
+    The fixed protocol makes this stable across interpreters, so it is
+    the representation byte-identity checks (tests, the serving layer's
+    digests) compare, and the payload a cache entry stores.
     """
-
-    def __init__(self, file: io.BytesIO, encoder: "_Encoder") -> None:
-        super().__init__(file, protocol=_PICKLE_PROTOCOL)
-        self._encoder = encoder
-
-    def persistent_id(self, obj: Any) -> int | None:
-        if type(obj) in _ATOMIC:
-            return None
-        enc = self._encoder
-        if obj is enc.dump_root:
-            return None
-        slot = enc.memo.get(id(obj))
-        if slot is not None and enc.keep[slot] is obj:
-            return slot
-        return None
+    return pickle.dumps(result, protocol=PICKLE_PROTOCOL)
 
 
-class _Encoder:
-    """One encode pass: the tree buffer plus the sharing memos.
-
-    ``keep`` pins every memoized object so CPython cannot recycle an id
-    mid-encode and alias two distinct objects into one slot.
-    """
-
-    __slots__ = ("out", "memo", "keep", "pmemo", "pins", "pio", "pickler",
-                 "dump_root")
-
-    def __init__(self) -> None:
-        self.out = bytearray()
-        self.memo: dict[int, int] = {}
-        #: slot index -> object; ``len(keep)`` is the next slot, so it
-        #: must count exactly the shareable tree nodes (the decoder
-        #: numbers its slots the same way).
-        self.keep: list[Any] = []
-        #: id -> fallback-stream pickle memo index, for objects whose
-        #: first occurrence was inside a fallback frame.
-        self.pmemo: dict[int, int] = {}
-        #: pins for pmemo objects (they hold no slot, but their ids must
-        #: stay unique for the lifetime of the pass).
-        self.pins: list[Any] = []
-        self.pio: io.BytesIO | None = None
-        self.pickler: _FallbackPickler | None = None
-        self.dump_root: Any = None
-
-    def _share(self, obj: Any) -> bool:
-        """Emit a ref/pref for a seen object; else claim the next slot."""
-        out = self.out
-        slot = self.memo.get(id(obj))
-        if slot is not None:
-            out += _U8.pack(_T_REF)
-            out += _U32.pack(slot)
-            return True
-        pidx = self.pmemo.get(id(obj))
-        if pidx is not None:
-            out += _U8.pack(_T_PREF)
-            out += _U32.pack(pidx)
-            return True
-        self.memo[id(obj)] = len(self.keep)
-        self.keep.append(obj)
-        return False
-
-    def encode(self, obj: Any) -> None:
-        out = self.out
-        if obj is None:
-            out += _U8.pack(_T_NONE)
-        elif obj is False:
-            out += _U8.pack(_T_FALSE)
-        elif obj is True:
-            out += _U8.pack(_T_TRUE)
-        elif type(obj) is int:
-            if _I64_MIN <= obj <= _I64_MAX:
-                out += _U8.pack(_T_INT)
-                out += _I64.pack(obj)
-            else:
-                self._pickled(obj)
-        elif type(obj) is float:
-            out += _U8.pack(_T_FLOAT)
-            out += _F64.pack(obj)
-        elif type(obj) is OpKind:
-            out += _U8.pack(_T_OPKIND)
-            out += _U8.pack(_OPKIND_CODE[obj])
-        elif self._share(obj):
-            pass
-        elif type(obj) is str:
-            out += _U8.pack(_T_STR)
-            _put_bytes(out, obj.encode())
-        elif type(obj) is bytes:
-            out += _U8.pack(_T_BYTES)
-            _put_bytes(out, obj)
-        elif type(obj) is tuple or type(obj) is list:
-            out += _U8.pack(_T_TUPLE if type(obj) is tuple else _T_LIST)
-            if len(obj) > _U32_MAX:
-                raise CodecError("container exceeds u32 frame")
-            out += _U32.pack(len(obj))
-            for item in obj:
-                self.encode(item)
-        elif type(obj) is dict:
-            out += _U8.pack(_T_DICT)
-            out += _U32.pack(len(obj))
-            for key, value in obj.items():
-                self.encode(key)
-                self.encode(value)
-        elif type(obj) is IoStats:
-            out += _U8.pack(_T_IOSTATS)
-            out += _IOSTATS.pack(
-                obj.busy_time, obj.arm_time, obj.rotation_time,
-                obj.transfer_time, obj.bytes_read, obj.bytes_written,
-                obj.n_reads, obj.n_writes, obj.fault_time, obj.n_faults,
-                obj.n_retries)
-        elif type(obj) is DiskResult:
-            out += _U8.pack(_T_DISKRESULT)
-            out += _DISKRESULT.pack(
-                obj.service_time, obj.arm_time, obj.rotation_time,
-                obj.transfer_time, obj.nbytes, _OPKIND_CODE[obj.op],
-                1 if obj.cached else 0, obj.n_ops)
-        elif type(obj) is StagePower:
-            out += _U8.pack(_T_STAGEPOWER)
-            # The stage name goes through encode() so it lands in the
-            # sharing memo: stage strings repeat across records and are
-            # often interned, and pickle-byte identity needs the decoded
-            # graph to share them exactly as the original did.
-            self.encode(obj.stage)
-            out += _F64.pack(obj.avg_total_w)
-            out += _F64.pack(obj.avg_dynamic_w)
-        elif type(obj) is Grid2D:
-            data = obj.data
-            if data.dtype == np.float64 and data.flags.c_contiguous \
-                    and data.shape == (obj.nx, obj.ny):
-                out += _U8.pack(_T_GRID2D)
-                out += _I64.pack(obj.nx)
-                out += _I64.pack(obj.ny)
-                out += _F64.pack(obj.lx)
-                out += _F64.pack(obj.ly)
-                _put_bytes(out, memoryview(data).cast("B"))
-            else:  # adopted exotic storage: let pickle keep its semantics
-                self._pickled(obj, share=False)
-        elif type(obj) is Image:
-            out += _U8.pack(_T_IMAGE)
-            if not _encode_ndarray(out, obj.pixels):
-                raise CodecError("image pixels are not a flat array")
-        elif type(obj) is RenderResult:
-            out += _U8.pack(_T_RENDERRESULT)
-            self.encode(obj.image)
-            out += _I64.pack(obj.pixels_shaded)
-            out += _I64.pack(obj.contour_segments)
-        elif type(obj) is ExperimentResult:
-            out += _U8.pack(_T_RESULT)
-            self.encode(obj.id)
-            self.encode(obj.title)
-            self.encode(obj.data)
-            self.encode(obj.text)
-        elif isinstance(obj, np.ndarray):
-            if not _encode_ndarray(out, obj):
-                self._pickled(obj, share=False)
-        else:
-            self._pickled(obj, share=False)
-
-    def _pickled(self, obj: Any, share: bool = True) -> None:
-        # ``share=False`` when the caller already claimed this object's
-        # slot on the non-fallback path (the slot stands either way).
-        if share and self._share(obj):
-            return
-        if self.pickler is None:
-            self.pio = io.BytesIO()
-            self.pickler = _FallbackPickler(self.pio, self)
-        self.dump_root = obj
-        try:
-            self.pickler.dump(obj)
-        finally:
-            self.dump_root = None
-        self.out += _U8.pack(_T_PICKLE)
-        # Stream offset after this frame: a decode-time desync check.
-        self.out += _U32.pack(self.pio.tell())
-        # Harvest the frame's interior: objects the pickler just
-        # memoized become addressable by later codec nodes via pref.
-        for oid, (idx, inner) in self.pickler.memo.copy().items():
-            if oid not in self.pmemo and oid not in self.memo:
-                self.pmemo[oid] = idx
-                self.pins.append(inner)
-
-    def finish(self) -> bytes:
-        """Assemble the value frame: trailer length, trailer, tree."""
-        trailer = self.pio.getvalue() if self.pio is not None else b""
-        if len(trailer) > _U32_MAX:
-            raise CodecError("fallback stream exceeds u32 frame")
-        return _U32.pack(len(trailer)) + trailer + bytes(self.out)
+def frame(magic: bytes, version: int, payload: bytes) -> bytes:
+    """Prefix ``payload`` with its magic, version and sha256."""
+    return _HEADER.pack(magic, version,
+                        hashlib.sha256(payload).digest()) + payload
 
 
-def encode_value(obj: Any) -> bytes:
-    """Encode one value (no header); inverse of :func:`decode_value`."""
-    enc = _Encoder()
-    enc.encode(obj)
-    return enc.finish()
+def unframe(blob: bytes | memoryview, magic: bytes,
+            version: int) -> memoryview:
+    """The checked payload of a frame; raises :class:`CodecError`."""
+    view = memoryview(blob)
+    if len(view) < _HEADER.size:
+        raise CodecError(f"frame of {len(view)} bytes is shorter than header")
+    got_magic, got_version, digest = _HEADER.unpack_from(view)
+    if got_magic != magic:
+        raise CodecError(f"bad magic {got_magic!r}, expected {magic!r}")
+    if got_version != version:
+        raise CodecError(f"format version {got_version} not supported "
+                         f"(this build reads {version})")
+    payload = view[_HEADER.size:]
+    if hashlib.sha256(payload).digest() != digest:
+        raise CodecError("payload does not match its sha256")
+    return payload
 
 
 def encode_result(result: ExperimentResult) -> bytes:
-    """Canonical codec frame for one result: header plus encoded value."""
-    enc = _Encoder()
-    enc.encode(result)
-    return _HEADER.pack(MAGIC, CODEC_VERSION) + enc.finish()
-
-
-# -- decoding ---------------------------------------------------------------------
-
-
-class _FallbackUnpickler(pickle.Unpickler):
-    """Resolves the fallback stream's pids against the codec slots."""
-
-    def __init__(self, file: io.BytesIO, reader: "_Reader") -> None:
-        super().__init__(file)
-        self._reader = reader
-
-    def persistent_load(self, pid: Any) -> Any:
-        slots = self._reader.slots
-        if type(pid) is not int or not 0 <= pid < len(slots):
-            raise CodecError(f"fallback stream names unknown slot {pid!r}")
-        value = slots[pid]
-        if value is _PENDING:
-            raise CodecError(f"fallback stream refers into slot {pid}'s "
-                             "own subtree")
-        return value
-
-
-class _Reader:
-    """Cursor over an immutable buffer; every read bounds-checks.
-
-    ``slots`` mirrors the encoder's memo: shareable nodes land in it in
-    pre-order, and ref nodes index into it.  ``pmemo`` snapshots the
-    fallback unpickler's memo after each frame for pref nodes.
-    """
-
-    __slots__ = ("view", "pos", "slots", "pio", "unpickler", "pmemo")
-
-    def __init__(self, view: memoryview) -> None:
-        self.view = view
-        self.pos = 0
-        self.slots: list[Any] = []
-        self.pio: io.BytesIO | None = None
-        self.unpickler: _FallbackUnpickler | None = None
-        self.pmemo: dict[int, Any] = {}
-
-    def take(self, nbytes: int) -> memoryview:
-        end = self.pos + nbytes
-        if end > len(self.view):
-            raise CodecError(
-                f"truncated frame: wanted {nbytes} bytes at {self.pos}, "
-                f"have {len(self.view) - self.pos}")
-        chunk = self.view[self.pos:end]
-        self.pos = end
-        return chunk
-
-    def u8(self) -> int:
-        return _U8.unpack(self.take(1))[0]
-
-    def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
-
-    def i64(self) -> int:
-        return _I64.unpack(self.take(8))[0]
-
-    def f64(self) -> float:
-        return _F64.unpack(self.take(8))[0]
-
-    def blob(self) -> memoryview:
-        return self.take(self.u32())
-
-
-#: Tags whose objects occupy a sharing slot (everything except the
-#: atomic immediates, which pickle never memoizes either).
-_SHAREABLE_TAGS = frozenset({
-    _T_STR, _T_BYTES, _T_TUPLE, _T_LIST, _T_DICT, _T_NDARRAY,
-    _T_IOSTATS, _T_DISKRESULT, _T_STAGEPOWER, _T_GRID2D,
-    _T_RENDERRESULT, _T_IMAGE, _T_RESULT, _T_PICKLE,
-})
-
-
-def _decode(r: _Reader) -> Any:
-    tag = r.u8()
-    if tag == _T_NONE:
-        return None
-    if tag == _T_FALSE:
-        return False
-    if tag == _T_TRUE:
-        return True
-    if tag == _T_INT:
-        return r.i64()
-    if tag == _T_FLOAT:
-        return r.f64()
-    if tag == _T_OPKIND:
-        return _opkind(r.u8())
-    if tag == _T_REF:
-        slot = r.u32()
-        if slot >= len(r.slots):
-            raise CodecError(f"ref to unknown slot {slot} "
-                             f"(only {len(r.slots)} assigned)")
-        value = r.slots[slot]
-        if value is _PENDING:
-            raise CodecError(f"ref to slot {slot} inside its own subtree")
-        return value
-    if tag == _T_PREF:
-        idx = r.u32()
-        value = r.pmemo.get(idx, _PENDING)
-        if value is _PENDING:
-            raise CodecError(f"pref to unknown fallback memo index {idx}")
-        return value
-    if tag not in _SHAREABLE_TAGS:
-        raise CodecError(f"unknown tag 0x{tag:02X} at offset {r.pos - 1}")
-    slot = len(r.slots)
-    r.slots.append(_PENDING)
-    value = _decode_shareable(r, tag)
-    r.slots[slot] = value
-    return value
-
-
-def _decode_shareable(r: _Reader, tag: int) -> Any:
-    if tag == _T_STR:
-        return bytes(r.blob()).decode()
-    if tag == _T_BYTES:
-        return bytes(r.blob())
-    if tag == _T_TUPLE:
-        return tuple(_decode(r) for _ in range(r.u32()))
-    if tag == _T_LIST:
-        return [_decode(r) for _ in range(r.u32())]
-    if tag == _T_DICT:
-        n = r.u32()
-        return {_decode(r): _decode(r) for _ in range(n)}
-    if tag == _T_NDARRAY:
-        return _decode_ndarray(r)
-    if tag == _T_IOSTATS:
-        fields = _IOSTATS.unpack(r.take(_IOSTATS.size))
-        return IoStats(
-            busy_time=fields[0], arm_time=fields[1], rotation_time=fields[2],
-            transfer_time=fields[3], bytes_read=fields[4],
-            bytes_written=fields[5], n_reads=fields[6], n_writes=fields[7],
-            fault_time=fields[8], n_faults=fields[9], n_retries=fields[10])
-    if tag == _T_DISKRESULT:
-        fields = _DISKRESULT.unpack(r.take(_DISKRESULT.size))
-        return DiskResult(
-            service_time=fields[0], arm_time=fields[1],
-            rotation_time=fields[2], transfer_time=fields[3],
-            nbytes=fields[4], op=_opkind(fields[5]),
-            cached=bool(fields[6]), n_ops=fields[7])
-    if tag == _T_STAGEPOWER:
-        stage = _decode(r)
-        if not isinstance(stage, str):
-            raise CodecError("stage power frame has a non-string stage")
-        return StagePower(stage=stage, avg_total_w=r.f64(),
-                          avg_dynamic_w=r.f64())
-    if tag == _T_GRID2D:
-        nx, ny = r.i64(), r.i64()
-        lx, ly = r.f64(), r.f64()
-        buf = r.blob()
-        if nx < 3 or ny < 3 or nx * ny * 8 != len(buf):
-            raise CodecError(f"grid payload mismatch: {nx}x{ny} vs "
-                             f"{len(buf)} bytes")
-        data = np.frombuffer(buf, dtype="<f8").reshape(nx, ny).copy()
-        return Grid2D.from_array(data, lx=lx, ly=ly)
-    if tag == _T_IMAGE:
-        if r.u8() != _T_NDARRAY:
-            raise CodecError("image payload is not a flat array")
-        pixels = _decode_ndarray(r)
-        if pixels.ndim != 3 or pixels.shape[2] != 3 \
-                or pixels.dtype != np.uint8:
-            raise CodecError(f"image payload has shape {pixels.shape}")
-        return Image.from_array(pixels)
-    if tag == _T_RENDERRESULT:
-        image = _decode(r)
-        if not isinstance(image, Image):
-            raise CodecError("render result payload lost its image")
-        return RenderResult(image=image, pixels_shaded=r.i64(),
-                            contour_segments=r.i64())
-    if tag == _T_RESULT:
-        rid = _decode(r)
-        title = _decode(r)
-        data = _decode(r)
-        text = _decode(r)
-        if not isinstance(rid, str) or not isinstance(title, str) \
-                or not isinstance(text, str):
-            raise CodecError("experiment result frame has non-string metadata")
-        return ExperimentResult(id=rid, title=title, data=data, text=text)
-    # _T_PICKLE — the only remaining member of _SHAREABLE_TAGS.
-    expected_offset = r.u32()
-    if r.unpickler is None or r.pio is None:
-        raise CodecError("pickle node but the frame carries no "
-                         "fallback stream")
-    try:
-        value = r.unpickler.load()
-    except CodecError:
-        raise
-    except Exception as exc:
-        raise CodecError(f"fallback stream frame failed: {exc}") from exc
-    if r.pio.tell() != expected_offset:
-        raise CodecError(
-            f"fallback stream desync: at {r.pio.tell()}, frame expected "
-            f"{expected_offset}")
-    r.pmemo = r.unpickler.memo.copy()
-    return value
-
-
-def _decode_ndarray(r: _Reader) -> np.ndarray:
-    dtype = np.dtype(bytes(r.blob()).decode())
-    shape = tuple(r.i64() for _ in range(r.u32()))
-    if any(dim < 0 for dim in shape):
-        raise CodecError(f"negative dimension in array shape {shape}")
-    buf = r.blob()
-    count = 1
-    for dim in shape:
-        count *= dim
-    if dtype.itemsize * count != len(buf):
-        raise CodecError(
-            f"array payload is {len(buf)} bytes, shape {shape} of "
-            f"{dtype} wants {dtype.itemsize * count}")
-    # frombuffer is zero-copy over the frame; the copy() hands the
-    # caller an independent writable array, like pickle would.
-    return np.frombuffer(buf, dtype=dtype).reshape(shape).copy()
-
-
-def _opkind(code: int) -> OpKind:
-    try:
-        return _OPKIND_FROM[code]
-    except KeyError:
-        raise CodecError(f"unknown OpKind code {code}") from None
-
-
-def decode_value(buf: bytes | memoryview) -> Any:
-    """Decode one headerless value; inverse of :func:`encode_value`."""
-    reader = _Reader(memoryview(buf))
-    try:
-        trailer = reader.blob()
-        if len(trailer):
-            reader.pio = io.BytesIO(trailer)
-            reader.unpickler = _FallbackUnpickler(reader.pio, reader)
-        value = _decode(reader)
-    except (struct.error, UnicodeDecodeError, ValueError, TypeError) as exc:
-        raise CodecError(f"corrupt frame: {exc}") from exc
-    if reader.pos != len(reader.view):
-        raise CodecError(
-            f"{len(reader.view) - reader.pos} trailing bytes after value")
-    return value
-
-
-def is_codec_frame(buf: bytes | memoryview) -> bool:
-    """True when the buffer leads with this codec's magic."""
-    return bytes(buf[:4]) == MAGIC
+    """The cache-entry frame of one result."""
+    return frame(MAGIC, CODEC_VERSION, pickle_result(result))
 
 
 def decode_result(buf: bytes | memoryview) -> ExperimentResult:
-    """Decode a framed result; raises :class:`CodecError` on any defect."""
-    view = memoryview(buf)
-    if len(view) < _HEADER.size:
-        raise CodecError(f"frame of {len(view)} bytes is shorter than header")
-    magic, version = _HEADER.unpack(view[:_HEADER.size])
-    if magic != MAGIC:
-        raise CodecError(f"bad magic {magic!r}")
-    if version != CODEC_VERSION:
-        raise CodecError(f"codec version {version} not supported "
-                         f"(this build speaks {CODEC_VERSION})")
-    value = decode_value(view[_HEADER.size:])
+    """Decode a result frame; raises :class:`CodecError` on any defect."""
+    payload = unframe(buf, MAGIC, CODEC_VERSION)
+    try:
+        value = pickle.loads(payload)
+    except Exception as exc:
+        raise CodecError(f"result payload failed to unpickle: {exc}") from exc
     if not isinstance(value, ExperimentResult):
-        raise CodecError(f"frame decoded to {type(value).__name__}, "
+        raise CodecError(f"frame holds {type(value).__name__}, "
                          "not ExperimentResult")
     return value
+
+
+def write_file(path: str, blob: bytes) -> bool:
+    """Atomically write ``blob`` to ``path`` (tmp file + rename).
+
+    Best-effort: returns False, and leaves no tmp file behind, when the
+    directory cannot be created or written.
+    """
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    except OSError:
+        return False
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        return False
+    return True

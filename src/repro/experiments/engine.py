@@ -9,16 +9,17 @@ and their results content-addressable.  This module exploits both:
 * **Parallel**: experiments fan out over a process pool.  Every worker
   owns a :class:`~repro.experiments.figures.Lab` for the run's seed, so
   experiments that land on the same worker still share memoized pipeline
-  runs, and no state crosses process boundaries (results come back as
-  flat :mod:`~repro.experiments.codec` frames, with pickle as the
-  fallback transport).  ``jobs=1`` degenerates to exactly
+  runs, and no state crosses process boundaries (workers return their
+  results, which the pool pickles).  ``jobs=1`` degenerates to exactly
   ``registry.run_all``.
 * **Cached**: results can persist on disk, keyed by a digest of
   everything they depend on (engine format version, package version,
   seed, experiment id, and the full testbed spec).  A second invocation
   with the same inputs loads instead of recomputing; any change to the
-  inputs changes the key and misses.  Corrupt or unreadable entries are
-  recomputed and overwritten, never trusted.
+  inputs changes the key and misses.  Each entry is a sha256-checked
+  :mod:`~repro.experiments.codec` frame: corrupt, truncated or
+  foreign entries read as misses and are recomputed and overwritten,
+  never trusted.  An unusable cache directory skips the store.
 
 Either feature is bitwise-faithful: the engine returns the same
 :class:`~repro.experiments.figures.ExperimentResult` payloads, in
@@ -34,12 +35,21 @@ import os
 import pickle
 import struct
 import sys
-import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.errors import CodecError, ConfigError, ReproError
-from repro.experiments.codec import decode_result, encode_result, is_codec_frame
+from repro.experiments.codec import (
+    PICKLE_PROTOCOL,
+    decode_result,
+    encode_result,
+    frame,
+    unframe,
+    write_file,
+)
+
+# Re-exported: the service and the benchmarks import it from here.
+from repro.experiments.codec import pickle_result as pickle_result
 from repro.experiments.figures import ExperimentResult, Lab
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.machine.node import paper_testbed
@@ -47,11 +57,9 @@ from repro.rng import DEFAULT_SEED
 from repro.version import __version__
 
 #: Bump to invalidate every existing cache entry (result format change).
+#: It also feeds :func:`cache_key`, which the cluster router hashes onto
+#: shards; an entry-format change bumps the codec's frame version instead.
 ENGINE_CACHE_VERSION = 1
-
-#: Fixed pickle protocol so cache entries (and the determinism checks
-#: built on them) do not depend on the interpreter's default.
-_PICKLE_PROTOCOL = 4
 
 
 @dataclass(frozen=True)
@@ -100,52 +108,16 @@ def _cache_path(cache_dir: str, experiment_id: str, seed: int) -> str:
 
 
 def _cache_load(path: str) -> ExperimentResult | None:
-    """A cached result, or None when absent/corrupt (never raises).
-
-    Entries are sniffed by magic: codec frames (the format new entries
-    are written in) decode through the flat binary path; anything else
-    falls back to the pickle loader, so pre-codec cache directories stay
-    readable without a flag day.
-    """
+    """A cached result, or None when absent/corrupt/foreign (never raises)."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError:
         return None
-    if is_codec_frame(blob):
-        try:
-            return decode_result(blob)
-        except CodecError:
-            return None
     try:
-        result = pickle.loads(blob)
-    except (pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError, ValueError):
+        return decode_result(blob)
+    except CodecError:
         return None
-    return result if isinstance(result, ExperimentResult) else None
-
-
-def pickle_result(result: ExperimentResult) -> bytes:
-    """Canonical byte representation of a result.
-
-    The fixed protocol makes this stable across interpreters, so it is
-    the representation byte-identity checks (tests, the serving layer's
-    digests) compare.  The disk cache itself now stores codec frames
-    (:func:`codec_result`); this stays the digest representation so
-    existing digests and determinism checks are unchanged.
-    """
-    return pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-
-
-def codec_result(result: ExperimentResult) -> bytes:
-    """Codec-frame byte representation of a result.
-
-    The flat-binary counterpart of :func:`pickle_result`: this is what
-    :func:`store_result` writes and what the pool workers ship back to
-    the parent.  Cache keys are unchanged — the same sha256
-    :func:`cache_key` addresses an entry whichever format holds it.
-    """
-    return encode_result(result)
 
 
 def load_result(cache_dir: str, experiment_id: str,
@@ -175,35 +147,22 @@ def drop_result(cache_dir: str, experiment_id: str, seed: int) -> bool:
 
 
 def _cache_store(path: str, result: ExperimentResult) -> None:
-    """Atomically persist a result (tmp file + rename)."""
-    try:
-        blob = encode_result(result)
-    except Exception:
-        # The codec is an optimization; an unencodable result falls back
-        # to the pickle entry format, which the loader also accepts.
-        blob = pickle.dumps(result, protocol=_PICKLE_PROTOCOL)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        # Caching is best-effort; the computed result is still returned.
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    """Atomically persist a result's frame (best-effort).
+
+    An unusable cache directory skips the store; the caller still has
+    the computed result.
+    """
+    write_file(path, encode_result(result))
 
 
 # -- warm-Lab snapshots ---------------------------------------------------------
 
 #: Bump to invalidate every existing Lab snapshot (Lab layout change).
-LAB_SNAPSHOT_VERSION = 2
+LAB_SNAPSHOT_VERSION = 3
 
+#: A snapshot is a codec frame whose payload is ``i64 seed | pickle``.
 _SNAP_MAGIC = b"RPLS"
-_SNAP_HEADER = struct.Struct("<4sHq")  # magic | version | seed
+_SNAP_SEED = struct.Struct("<q")
 
 
 def _snapshot_singletons() -> dict[str, object]:
@@ -288,7 +247,7 @@ class _SnapshotPickler(pickle.Pickler):
     """
 
     def __init__(self, file) -> None:
-        super().__init__(file, protocol=_PICKLE_PROTOCOL)
+        super().__init__(file, protocol=PICKLE_PROTOCOL)
         self._by_id = _snapshot_registry()[1]
 
     def persistent_id(self, obj: object) -> str | None:
@@ -343,27 +302,23 @@ def _snapshot_path(cache_dir: str, seed: int, suffix: str = ".snap") -> str:
 
 
 def snapshot_lab(lab: Lab) -> bytes:
-    """Serialize a (preferably primed) Lab to a versioned snapshot blob."""
+    """Serialize a (preferably primed) Lab to a checked snapshot frame."""
     buf = io.BytesIO()
-    buf.write(_SNAP_HEADER.pack(_SNAP_MAGIC, LAB_SNAPSHOT_VERSION, lab.seed))
+    buf.write(_SNAP_SEED.pack(lab.seed))
     _SnapshotPickler(buf).dump(lab)
-    return buf.getvalue()
+    return frame(_SNAP_MAGIC, LAB_SNAPSHOT_VERSION, buf.getvalue())
 
 
 def restore_lab(blob: bytes, seed: int) -> Lab:
-    """Deserialize a snapshot blob; raises :class:`CodecError` on mismatch."""
-    if len(blob) < _SNAP_HEADER.size:
+    """Deserialize a snapshot frame; raises :class:`CodecError` on mismatch."""
+    payload = unframe(blob, _SNAP_MAGIC, LAB_SNAPSHOT_VERSION)
+    if len(payload) < _SNAP_SEED.size:
         raise CodecError("lab snapshot truncated")
-    magic, version, snap_seed = _SNAP_HEADER.unpack_from(blob)
-    if magic != _SNAP_MAGIC:
-        raise CodecError("not a lab snapshot")
-    if version != LAB_SNAPSHOT_VERSION:
-        raise CodecError(f"lab snapshot version {version} != "
-                         f"{LAB_SNAPSHOT_VERSION}")
+    (snap_seed,) = _SNAP_SEED.unpack_from(payload)
     if snap_seed != seed:
         raise CodecError(f"lab snapshot seed {snap_seed} != {seed}")
     try:
-        lab = _SnapshotUnpickler(io.BytesIO(blob[_SNAP_HEADER.size:])).load()
+        lab = _SnapshotUnpickler(io.BytesIO(payload[_SNAP_SEED.size:])).load()
     except CodecError:
         raise
     except Exception as exc:
@@ -380,22 +335,7 @@ def save_lab_snapshot(cache_dir: str, lab: Lab) -> str | None:
         blob = snapshot_lab(lab)
     except Exception:
         return None
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    except OSError:
-        return None
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return None
-    return path
+    return path if write_file(path, blob) else None
 
 
 def load_lab_snapshot(cache_dir: str, seed: int) -> Lab | None:
@@ -492,28 +432,14 @@ def _prime_shared_lab(seed: int, cache_dir: str | None = None) -> None:
         _prime(_WORKER_LAB)
 
 
-def _worker_run(experiment_id: str, seed: int) -> bytes | ExperimentResult:
-    """Run one experiment and ship the result back as a codec frame.
+def _worker_run(experiment_id: str, seed: int) -> ExperimentResult:
+    """Run one experiment on this worker's Lab.
 
-    The flat frame crosses the pool pipe as one bytes object (which
-    multiprocessing moves cheaply) instead of a pickled object graph.
-    If the result resists encoding, the raw object is returned and the
-    stock pickle transport carries it — a worker never dies over the
-    transport format.
+    The pool pickles the returned result across its pipe; the object
+    graph, and with it the result's canonical pickle, survives intact.
     """
     lab = _WORKER_LAB if _WORKER_LAB is not None else Lab(seed=seed)
-    result = get_experiment(experiment_id)(lab)
-    try:
-        return encode_result(result)
-    except Exception:
-        return result
-
-
-def _from_worker(payload: bytes | ExperimentResult) -> ExperimentResult:
-    """Decode a worker payload, whichever transport carried it."""
-    if isinstance(payload, bytes):
-        return decode_result(payload)
-    return payload
+    return get_experiment(experiment_id)(lab)
 
 
 # -- the engine -----------------------------------------------------------------
@@ -568,7 +494,7 @@ def run_experiments(
             ) as pool:
                 futures = {eid: pool.submit(_worker_run, eid, seed)
                            for eid in misses}
-                computed = {eid: _from_worker(fut.result())
+                computed = {eid: fut.result()
                             for eid, fut in futures.items()}
         if cache_dir is not None:
             for eid, result in computed.items():

@@ -19,6 +19,7 @@ from repro.experiments.engine import (
     cache_key,
     lab_snapshot_key,
     load_lab_snapshot,
+    primed_lab,
     restore_lab,
     run_experiments,
     save_lab_snapshot,
@@ -89,6 +90,16 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, serial):
     assert again.cache_hits == ("fig4",)
 
 
+def test_unusable_cache_dir_skips_the_store(tmp_path, serial):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_bytes(b"")
+    for cache in (str(not_a_dir), str(not_a_dir / "sub")):
+        report = run_experiments(["fig4"], seed=SEED, jobs=1, cache_dir=cache)
+        assert report.cache_misses == ("fig4",)
+        assert _bytes(report.results["fig4"]) == serial["fig4"]
+    assert not_a_dir.read_bytes() == b""
+
+
 def test_cache_key_covers_its_inputs():
     base = cache_key("fig4", SEED)
     assert cache_key("fig4", SEED) == base
@@ -150,6 +161,19 @@ class TestLabSnapshot:
         with open(_snapshot_path(cache, SEED), "wb") as fh:
             fh.write(blob[: len(blob) // 2])
         assert load_lab_snapshot(cache, SEED) is None
+        # Flipped bits in the pickled body are caught by the frame's
+        # digest.  A plain unpickler accepts many of them, and a corrupt
+        # Lab would poison every result computed from it.
+        for offset in range(len(blob) - 400, len(blob), 50):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0x04
+            with pytest.raises(CodecError):
+                restore_lab(bytes(flipped), SEED)
+        with open(_snapshot_path(cache, SEED), "wb") as fh:
+            fh.write(flipped)
+        assert load_lab_snapshot(cache, SEED) is None
+        primed, restored = primed_lab(cache, SEED)
+        assert primed.seed == SEED and not restored
 
     def test_snapshot_key_covers_seed(self):
         assert lab_snapshot_key(SEED) != lab_snapshot_key(SEED + 1)

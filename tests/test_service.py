@@ -333,6 +333,17 @@ class TestTwoTierCache:
             with pytest.raises(ConfigError):
                 service.invalidate("not-an-experiment", seed=SEED)
 
+    def test_unusable_cache_dir_skips_the_store(self, tmp_path):
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_bytes(b"")
+        config = ServiceConfig(jobs=1, cache_dir=str(not_a_dir))
+        with ExperimentService(config) as service:
+            served = service.serve("fig4", seed=SEED)
+            assert served.source == "computed"
+            assert service.stats()["errors"] == 0
+        assert _bytes(served.result) == _bytes(
+            run_experiment("fig4", Lab(seed=SEED)))
+
     def test_mem_tier_respects_entry_bound(self):
         config = ServiceConfig(jobs=1, mem_entries=1)
         with ExperimentService(config) as service:

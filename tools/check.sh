@@ -226,6 +226,59 @@ with tempfile.TemporaryDirectory() as cache_dir:
         smoke(cache_dir, signum)
 PY
 
+echo "== cache-directory smoke (repro run --cache, corrupt files recompute) =="
+# The one check that sends all 18 results through the fork pool's pipe
+# (tier-1 sends 2 ids).  With the last byte of every entry and of the
+# Lab snapshot flipped, the next run must miss all 18 and print the
+# same text; an unusable cache directory must still exit 0.
+python - <<'PY'
+import glob
+import os
+import subprocess
+import sys
+import tempfile
+
+
+def run(*args):
+    return subprocess.run([sys.executable, "-m", "repro.cli", "run", *args],
+                          capture_output=True, text=True, timeout=600)
+
+
+def run_all(cache, *extra):
+    """(cache line, result text) of one `repro run all --cache`."""
+    proc = run("all", "--cache", cache, *extra)
+    assert proc.returncode == 0, proc.stderr
+    head, _, text = proc.stdout.partition("\n")
+    return head, text
+
+
+with tempfile.TemporaryDirectory() as tmp:
+    cache = os.path.join(tmp, "cache")
+    head, cold = run_all(cache, "--jobs", "2")
+    assert head == "cache: 0 hit(s), 18 miss(es)", head
+    files = (glob.glob(os.path.join(cache, "*.pkl"))
+             + glob.glob(os.path.join(cache, "lab-*.snap")))
+    assert len(files) == 19, files
+    for path in files:
+        with open(path, "r+b") as fh:
+            fh.seek(-1, os.SEEK_END)
+            last = fh.read(1)[0]
+            fh.seek(-1, os.SEEK_END)
+            fh.write(bytes([last ^ 0x01]))
+    head, recomputed = run_all(cache, "--jobs", "2")
+    assert head == "cache: 0 hit(s), 18 miss(es)", head
+    assert recomputed == cold, "recomputed text differs"
+    head, loaded = run_all(cache)
+    assert head == "cache: 18 hit(s), 0 miss(es)", head
+    assert loaded == cold, "loaded text differs"
+    not_a_dir = os.path.join(tmp, "file")
+    open(not_a_dir, "wb").close()
+    proc = run("fig4", "--cache", os.path.join(not_a_dir, "sub"))
+    assert proc.returncode == 0, proc.stderr
+print(f"cache dir: {len(files)} files flipped -> 18 misses, same text; "
+      "18 hits on reload; unusable --cache exits 0")
+PY
+
 echo "== cluster benchmark gate (committed JSON self-consistency) =="
 # The committed BENCH_serve.json must pass its own cluster gate: the
 # storm computed exactly once cluster-wide, digests agree across
