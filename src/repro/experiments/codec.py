@@ -1,14 +1,15 @@
-"""The sha256-checked frame of every file in a result-cache directory.
+"""The result-cache entry: a result's canonical pickle in a checked frame.
 
-A cached result entry and a warm-Lab snapshot are each one frame::
+A cached result entry and a warm-Lab snapshot are each one
+:mod:`repro.integrity` frame::
 
     magic (4 bytes) | u16 version | sha256(payload) (32 bytes) | payload
 
 A result entry's payload is the result's canonical protocol-4 pickle
 (:func:`pickle_result`), so the stored digest is the same sha256 that
 the serving layer's ``/run`` replies carry.  A snapshot's payload is
-laid out by :mod:`~repro.experiments.engine`.  :func:`write_file` is
-the one writer both go through (tmp file + rename).
+laid out by :mod:`~repro.experiments.engine`.  Both are written through
+:func:`~repro.integrity.write_file` (tmp file + rename).
 
 Reading never trusts its input: a short frame, a foreign magic or
 version, a digest mismatch, a payload that fails to unpickle, or one
@@ -24,14 +25,11 @@ it: whoever can write a file there can run code in the reader.
 
 from __future__ import annotations
 
-import hashlib
-import os
 import pickle
-import struct
-import tempfile
 
 from repro.errors import CodecError
 from repro.experiments.figures import ExperimentResult
+from repro.integrity import frame, unframe
 
 #: Fixed pickle protocol, so entries and the digests taken over them do
 #: not depend on the interpreter's default.
@@ -40,8 +38,6 @@ PICKLE_PROTOCOL = 4
 #: Result-entry magic and format version; foreign versions are rejected.
 MAGIC = b"RPRC"
 CODEC_VERSION = 2
-
-_HEADER = struct.Struct("<4sH32s")  # magic | version | sha256(payload)
 
 
 def pickle_result(result: ExperimentResult) -> bytes:
@@ -52,30 +48,6 @@ def pickle_result(result: ExperimentResult) -> bytes:
     digests) compare, and the payload a cache entry stores.
     """
     return pickle.dumps(result, protocol=PICKLE_PROTOCOL)
-
-
-def frame(magic: bytes, version: int, payload: bytes) -> bytes:
-    """Prefix ``payload`` with its magic, version and sha256."""
-    return _HEADER.pack(magic, version,
-                        hashlib.sha256(payload).digest()) + payload
-
-
-def unframe(blob: bytes | memoryview, magic: bytes,
-            version: int) -> memoryview:
-    """The checked payload of a frame; raises :class:`CodecError`."""
-    view = memoryview(blob)
-    if len(view) < _HEADER.size:
-        raise CodecError(f"frame of {len(view)} bytes is shorter than header")
-    got_magic, got_version, digest = _HEADER.unpack_from(view)
-    if got_magic != magic:
-        raise CodecError(f"bad magic {got_magic!r}, expected {magic!r}")
-    if got_version != version:
-        raise CodecError(f"format version {got_version} not supported "
-                         f"(this build reads {version})")
-    payload = view[_HEADER.size:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise CodecError("payload does not match its sha256")
-    return payload
 
 
 def encode_result(result: ExperimentResult) -> bytes:
@@ -94,28 +66,3 @@ def decode_result(buf: bytes | memoryview) -> ExperimentResult:
         raise CodecError(f"frame holds {type(value).__name__}, "
                          "not ExperimentResult")
     return value
-
-
-def write_file(path: str, blob: bytes) -> bool:
-    """Atomically write ``blob`` to ``path`` (tmp file + rename).
-
-    Best-effort: returns False, and leaves no tmp file behind, when the
-    directory cannot be created or written.
-    """
-    directory = os.path.dirname(path) or "."
-    try:
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    except OSError:
-        return False
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        return False
-    return True

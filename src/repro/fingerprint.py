@@ -2,10 +2,9 @@
 
 Several layers of the reproduction recompute pure functions of bulk
 content: the renderer rasterizes the same field both pipelines of a
-comparison observed, the timestep writer re-encodes the same snapshot a
-repeated experiment dumps again, the reader re-validates a container it
-decoded moments ago.  This module centralizes the ingredients those
-caches share:
+comparison observed, the reader re-validates a container it decoded
+moments ago.  This module centralizes the ingredients those caches
+share:
 
 * **fingerprints** — a field's content key is its shape and dtype, the
   crc32 of each row block at the timestep container's chunk geometry
@@ -18,12 +17,15 @@ caches share:
   validated (:mod:`repro.storage.format`);
 * **identity pins** — :func:`pinned` memoizes a value on the identity
   of an immutable object (read-only arrays such as science-cache
-  snapshots and zero-copy read-back grids, ``bytes`` blobs), so repeat
-  fingerprints and repeat decodes are O(1) instead of a full scan;
+  snapshots and zero-copy read-back grids; ``bytes`` blobs and sealed
+  container buffers, which the reader pins its decoded grid on), so
+  repeat fingerprints and repeat decodes are O(1) instead of a full
+  scan;
 * **:class:`ContentMemo`** — a FIFO-bounded, thread-tolerant store
-  bounded by entry count and approximate bytes.  Memos only ever
-  accelerate: a miss recomputes the pure function, so eviction policy
-  cannot change a produced number.
+  bounded by entry count and approximate bytes; it backs the frame
+  cache (:func:`~repro.pipelines.base.render_pipeline_frame`).  Memos
+  only ever accelerate: a miss recomputes the pure function, so
+  eviction policy cannot change a produced number.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ _PREFIX_BYTES = 64 * KiB
 
 #: id -> (object ref, value) for *immutable* objects; the stored
 #: reference keeps the id from being recycled.  A fresh run of all 18
-#: experiments pins ~490 objects (snapshots, read-back grids, blobs).
+#: experiments pins a few hundred objects (snapshots, read-back grids,
+#: blobs).
 _PINS: dict[int, tuple[Any, Any]] = {}
 _PINS_MAX_ENTRIES = 1000
 

@@ -14,15 +14,18 @@ This module persists exactly that unit under ``tools/out/lint-cache/``:
 * the value is a pickled :class:`CacheEntry` — the file's
   post-suppression findings, its suppressed count, and its module
   summary, which the engine merges into the project graph without
-  re-walking the AST.
+  re-walking the AST — in a sha256-checked :mod:`repro.integrity`
+  frame.
 
 Whole-program state (graph analyses, the dataflow fixpoint, the
 project-scope rules GL6–GL14) is never cached: it depends on every
 file, and recomputing it is what the per-file savings pay for.
 
-Corrupt or unreadable entries are treated as misses; writes go through
-a temp file and ``os.replace`` so a killed run never leaves a torn
-entry behind.  ``repro lint --no-cache`` bypasses the cache entirely.
+An entry is unpickled only after its frame's digest checks out, and any
+corrupt, truncated, foreign or unreadable entry is a miss that the next
+store overwrites; writes go through a temp file and ``os.replace`` so a
+killed run never leaves a torn entry behind.  ``repro lint --no-cache``
+bypasses the cache entirely.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.integrity import frame, unframe, write_file
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import Finding
     from repro.lint.graph import ModuleSummary
@@ -40,6 +45,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Default location, relative to the invoking working directory (the
 #: repo root for ``tools/check.sh`` and CI).
 DEFAULT_CACHE_DIR = os.path.join("tools", "out", "lint-cache")
+
+#: Entry frame magic and format version; other versions read as misses.
+MAGIC = b"RPLC"
+VERSION = 1
 
 #: Soft bound on resident entries; the prune pass drops the oldest
 #: beyond it so an often-edited tree cannot grow the cache unboundedly.
@@ -74,10 +83,13 @@ class LintCache:
         entry_path = self._entry_path(path, source)
         try:
             with open(entry_path, "rb") as fh:
-                entry = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+                blob = fh.read()
+        except OSError:
             return None
+        try:
+            entry = pickle.loads(unframe(blob, MAGIC, VERSION))
+        except Exception:
+            return None  # corrupt or old-format: a miss, overwritten
         if not isinstance(entry, CacheEntry):
             return None
         # Freshen mtime so the prune pass evicts by recency of use.
@@ -89,17 +101,9 @@ class LintCache:
 
     def store(self, path: str, source: str, entry: CacheEntry) -> None:
         """Persist an entry; failures are silent (the cache is advisory)."""
-        entry_path = self._entry_path(path, source)
-        tmp_path = f"{entry_path}.tmp.{os.getpid()}"
-        try:
-            with open(tmp_path, "wb") as fh:
-                pickle.dump(entry, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, entry_path)
-        except OSError:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
+        write_file(self._entry_path(path, source),
+                   frame(MAGIC, VERSION, pickle.dumps(
+                       entry, protocol=pickle.HIGHEST_PROTOCOL)))
 
     def prune(self) -> int:
         """Drop least-recently-used entries beyond the bound."""

@@ -15,7 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.errors import PipelineError
-from repro.fingerprint import field_fingerprint
+from repro.fingerprint import ContentMemo, field_fingerprint
 from repro.calibration import (
     CHUNK_BYTES,
     STAGE,
@@ -270,8 +270,7 @@ def make_solver(rng: RngRegistry, grid_scale: int = 1,
 #: (field fingerprint, render knobs) -> (frame, encoded bytes).  Both
 #: pipelines of a comparison visualize the identical physics, so half of
 #: all frames are repeats; FIFO-bounded so long sweeps stay flat.
-_FRAME_CACHE: dict[tuple, tuple[RenderResult, bytes]] = {}
-_FRAME_CACHE_MAX_ENTRIES = 256
+_FRAME_CACHE = ContentMemo(max_entries=256)
 
 
 def render_pipeline_frame(data: np.ndarray,
@@ -306,12 +305,8 @@ def render_pipeline_frame(data: np.ndarray,
     else:
         encoded = frame.image.to_ppm()
     if key is not None:
-        if len(_FRAME_CACHE) >= _FRAME_CACHE_MAX_ENTRIES:
-            try:
-                _FRAME_CACHE.pop(next(iter(_FRAME_CACHE)))
-            except (KeyError, RuntimeError, StopIteration):
-                pass  # a concurrent serving thread evicted first
-        _FRAME_CACHE[key] = (frame, encoded)
+        _FRAME_CACHE.put(key, (frame, encoded),
+                         frame.nbytes + len(encoded))
     return frame, encoded
 
 

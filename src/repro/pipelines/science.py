@@ -18,6 +18,15 @@ Either way an observed field is the recorded read-only snapshot while
 the budget lasts, so its content fingerprint is computed once and
 pinned for every later consumer.
 
+Recording copies the live field once and hashes nothing: the snapshot
+is the payload region of an unsealed timestep container
+(:func:`~repro.storage.format.container_payload`).  The first dump of
+that timestep seals the container around it, and the sealed buffer then
+serves as the snapshot, the dumped file's body and the read-back grid
+alike — one buffer per dumped field.  A field that does not fit that
+layout (not C-contiguous ``<f8``, or rows wider than ``CHUNK_BYTES``)
+is recorded as a plain read-only copy.
+
 Only pipelines that treat the solver as step-and-observe (``step``,
 ``grid``, ``time``) use the cache; pipelines that mutate solver state
 directly (the multi-node decomposition) keep building live solvers.
@@ -32,6 +41,7 @@ from repro.errors import SimulationError
 from repro.pipelines.base import make_solver
 from repro.rng import RngRegistry
 from repro.sim.grid import Grid2D
+from repro.storage.format import container_payload
 from repro.units import MiB
 
 #: Snapshot budget per process; past it, new trajectories fall back to
@@ -50,7 +60,8 @@ class _Trajectory:
         self.nx, self.ny = grid.nx, grid.ny
         self.lx, self.ly = grid.lx, grid.ly
         self.dt = dt
-        #: steps_taken -> immutable field copy at that point.
+        #: steps_taken -> read-only field copy at that point (the payload
+        #: of a container buffer when the field fits one).
         self.snapshots: dict[int, np.ndarray] = {}
 
     def grid_at(self, steps: int) -> Grid2D | None:
@@ -76,14 +87,17 @@ class ScienceCache:
         Records a snapshot if the budget allows, and hands out the
         recorded read-only snapshot whenever one exists, so every
         consumer of that timestep (writer, checksums, renderer)
-        fingerprints one immutable array once.  Past the budget the live
-        grid comes back.
+        fingerprints one immutable array once.  Recording is one copy
+        into a container buffer's payload and no hashing.  Past the
+        budget the live grid comes back.
         """
         if steps not in trajectory.snapshots:
             if self._spent_bytes + grid.data.nbytes > self.budget_bytes:
                 return grid
-            snap = grid.data.copy()
-            snap.flags.writeable = False
+            snap = container_payload(grid.data)
+            if snap is None:
+                snap = grid.data.copy()
+                snap.flags.writeable = False
             trajectory.snapshots[steps] = snap
             self._spent_bytes += snap.nbytes
         return trajectory.grid_at(steps)

@@ -42,9 +42,9 @@ from repro.errors import ConfigError, ServiceError
 from repro.experiments.engine import (
     cache_key,
     drop_result,
-    load_result,
-    pickle_result,
+    load_entry,
     primed_lab,
+    result_entry,
     store_result,
 )
 from repro.experiments.figures import ExperimentResult, Lab
@@ -83,6 +83,9 @@ class Served:
 
     ``source`` is ``"memory"``, ``"disk"``, ``"computed"``, or
     ``"coalesced"`` (waited on another request's in-flight compute).
+    ``digest`` is the sha256 hex digest of the result's canonical
+    pickle, carried from its cache frame (or its one pickle when
+    computed without a disk tier).
     """
 
     experiment_id: str
@@ -90,6 +93,7 @@ class Served:
     result: ExperimentResult
     source: str
     elapsed_s: float
+    digest: str
 
 
 class ExperimentService:
@@ -160,19 +164,26 @@ class ExperimentService:
 
     def _fulfill(self, key: str, experiment_id: str, seed: int,
                  fut: Future) -> None:
-        """Worker body: disk tier, else compute on the warm Lab."""
+        """Worker body: disk tier, else compute on the warm Lab.
+
+        The memory tier holds ``(result, digest)`` charged at the
+        pickle's length, both taken from the entry's frame: a disk hit
+        pickles nothing, a computed result is pickled once.
+        """
         try:
             source = "disk"
-            result = None
+            entry = None
             if self.config.cache_dir is not None:
-                result = load_result(self.config.cache_dir, experiment_id, seed)
-            if result is None:
+                entry = load_entry(self.config.cache_dir, experiment_id, seed)
+            if entry is None:
                 source = "computed"
                 result = self._compute(experiment_id, self._lab_for(seed))
                 if self.config.cache_dir is not None:
-                    store_result(self.config.cache_dir, experiment_id, seed,
-                                 result)
-            self._mem.put(key, result, len(pickle_result(result)))
+                    entry = store_result(self.config.cache_dir,
+                                         experiment_id, seed, result)
+                else:
+                    entry = result_entry(result)
+            self._mem.put(key, (entry.result, entry.digest), entry.nbytes)
         except Exception as exc:
             with self._lock:
                 self._errors += 1
@@ -185,7 +196,7 @@ class ExperimentService:
                 else:
                     self._computed += 1
                 self._inflight.pop(key, None)
-            fut.set_result((result, source))
+            fut.set_result((entry.result, entry.digest, source))
 
     # -- request side -----------------------------------------------------------
 
@@ -204,8 +215,9 @@ class ExperimentService:
             hit = self._mem.get(key)
             if hit is not None:
                 return Served(
-                    experiment_id, seed, hit, "memory",
-                    time.perf_counter() - start)  # greenlint: ignore[GL6]
+                    experiment_id, seed, hit[0], "memory",
+                    time.perf_counter() - start,  # greenlint: ignore[GL6]
+                    hit[1])
             fut = self._inflight.get(key)
             if fut is not None:
                 self._coalesced += 1
@@ -221,11 +233,12 @@ class ExperimentService:
                 with self._lock:
                     self._inflight.pop(key, None)
                 raise ServiceError(f"service is closed: {exc}") from exc
-        result, source = fut.result()
+        result, digest, source = fut.result()
         return Served(
             experiment_id, seed, result,
             "coalesced" if waited else source,
-            time.perf_counter() - start)  # greenlint: ignore[GL6]
+            time.perf_counter() - start,  # greenlint: ignore[GL6]
+            digest)
 
     def run(self, experiment_id: str,
             seed: int = DEFAULT_SEED) -> ExperimentResult:

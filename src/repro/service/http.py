@@ -38,7 +38,6 @@ import re
 import socket
 import sys
 import threading
-import weakref
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlsplit
@@ -61,31 +60,14 @@ _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
 Reply = tuple[int, dict, dict[str, str] | None]
 
 
-#: Digest memo keyed by result identity.  ``/run`` digests its payload on
-#: every reply, but the hot path serves the *same* result object out of
-#: the in-memory LRU over and over — repickling ~100 KB per request just
-#: to rehash it would dominate warm-hit latency.  While a result object
-#: is alive its id is unique, and a finalizer evicts the entry when the
-#: LRU drops it, before the id can be reused.
-_DIGESTS: dict[int, str] = {}
-_DIGESTS_LOCK = threading.Lock()
-
-
 def result_digest(result: object) -> str:
-    """sha256 hex digest of the result's canonical pickle bytes."""
-    key = id(result)
-    with _DIGESTS_LOCK:
-        hit = _DIGESTS.get(key)
-    if hit is not None:
-        return hit
-    digest = hashlib.sha256(pickle_result(result)).hexdigest()
-    try:
-        weakref.finalize(result, _DIGESTS.pop, key, None)
-    except TypeError:  # pragma: no cover - non-weakref-able payload
-        return digest
-    with _DIGESTS_LOCK:
-        _DIGESTS[key] = digest
-    return digest
+    """sha256 hex digest of the result's canonical pickle bytes.
+
+    ``/run`` replies carry :attr:`~repro.service.core.Served.digest`,
+    taken from the result's cache frame; this recomputes it, for
+    checks against a reference result.
+    """
+    return hashlib.sha256(pickle_result(result)).hexdigest()
 
 
 def _served_payload(served: Served) -> dict:
@@ -96,7 +78,7 @@ def _served_payload(served: Served) -> dict:
         "text": served.result.text,
         "source": served.source,
         "elapsed_ms": round(served.elapsed_s / MS, 3),
-        "digest": result_digest(served.result),
+        "digest": served.digest,
     }
 
 

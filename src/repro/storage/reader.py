@@ -5,6 +5,11 @@ produced, CRC-validating every chunk, and reconstructs the
 :class:`~repro.sim.grid.Grid2D`.  Supports whole-timestep reads (the
 paper's visualization pass) and selective single-chunk reads (exploratory
 analysis over a subset of the domain).
+
+An immutable blob (``bytes``, or a sealed container buffer the
+filesystem keeps as is) is decoded the first time this process reads
+it; the read-back grid is then pinned on the blob's identity, so every
+later read of the same object serves the same read-only array.
 """
 
 from __future__ import annotations
@@ -12,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import StorageError
-from repro.fingerprint import ContentMemo, pin_fingerprint, pinned, prefix_hash
+from repro.fingerprint import pin_fingerprint, pinned
 from repro.sim.grid import Grid2D
 from repro.storage.compression import codec_from_id
 from repro.storage.format import (
     ChunkedContainer,
+    ContainerBuffer,
     chunk_extent,
     decode_container,
     header_size,
@@ -24,22 +30,11 @@ from repro.storage.format import (
 from repro.system.blockdev import IoStats
 from repro.system.filesystem import FileSystem
 
-#: container key -> (timestep, read-only grid array).  Grid reassembly is
-#: a pure function of the container bytes; repeated reads of identical
-#: containers (paired runs, repeated experiments) serve the
-#: already-validated array.  Serving the *same* array object also lets
-#: downstream content caches (frame rendering) key it by identity
-#: instead of re-hashing the field.
-_GRID_MEMO = ContentMemo()
 
-
-def _grid_key(container: ChunkedContainer, blob: bytes) -> tuple:
-    """Memo key of a validated container: its header fields, the chunk
-    CRCs it was validated against, and a hash of its prefix (which also
-    covers the chunk index)."""
-    return (container.flags, container.nx, container.ny,
-            container.timestep, container.physical_time, container.crcs,
-            prefix_hash(blob))
+def _immutable(blob: object) -> bool:
+    """True for blobs whose bytes can never change."""
+    return type(blob) is bytes or (type(blob) is ContainerBuffer
+                                   and not blob.flags.writeable)
 
 
 @dataclass
@@ -108,56 +103,48 @@ class DataReader:
     def read_grid(self, timestep: int) -> tuple[Grid2D, ReadReport]:
         """Load a timestep, decode its codec, reassemble the grid.
 
-        A ``bytes`` blob this reader already decoded finds its memo key
-        pinned to it (the encode memo and the filesystem hand repeat
-        reads the same object); any other blob is decoded first, which
-        CRC-validates every chunk in one pass, and the validated CRCs
-        key the memo.
+        An immutable blob this process already decoded serves the
+        ``(timestep, array)`` pinned on it; any other blob is decoded,
+        which CRC-validates every chunk in one pass.  Only uncompressed
+        grids are pinned: a compressed container decodes on every read.
         """
         name = self.filename(timestep)
         blob, cpu, io = self._load_blob(name)
         report = ReadReport(name=name, nbytes=len(blob), cpu_time=cpu, io=io)
-        container = None
-        immutable = type(blob) is bytes
-        memo_key = pinned(blob) if immutable else None
-        if memo_key is None:
-            container = decode_container(blob)
-            memo_key = _grid_key(container, blob)
-            if immutable:
-                pinned(blob, memo_key)
-        hit = _GRID_MEMO.get(memo_key)  # greenlint: ignore[GL18]  (keyed on the container's header, validated chunk CRCs and prefix hash: value-deterministic)
+        hit = pinned(blob) if _immutable(blob) else None
         if hit is not None:
             stored_timestep, data = hit
-            if stored_timestep != timestep:
-                raise StorageError(
-                    f"file {name!r} claims timestep {stored_timestep}"
-                )
-            return Grid2D.from_array(data), report
-        if container is None:
-            container = decode_container(blob)
-        if container.timestep != timestep:
-            raise StorageError(
-                f"file {name!r} claims timestep {container.timestep}"
-            )
-        codec = codec_from_id(container.flags)
-        uncompressed = (container.payload_view is not None
-                        and codec.name == "identity")
-        if uncompressed:
-            # Uncompressed chunks lie contiguously in the blob: hand the
-            # spanning view straight to the grid (no copy, no join).
-            payload = container.payload_view
+            grid = Grid2D.from_array(data)
         else:
-            payload = b"".join(codec.decode(c) for c in container.chunks)
-        # copy=False: the grid wraps the payload buffer read-only — read
-        # grids are rendered and checksummed, never stepped.
-        grid = Grid2D.from_bytes(payload, container.nx, container.ny,
-                                 copy=False)
-        if uncompressed:
-            # The validated CRCs were computed from the grid's own bytes.
-            pin_fingerprint(grid.data, container.chunks, container.crcs)
-        _GRID_MEMO.put(memo_key, (container.timestep, grid.data),
-                       grid.data.nbytes)
+            container = decode_container(blob)
+            stored_timestep = container.timestep
+            grid = self._assemble(container, blob)
+        if stored_timestep != timestep:
+            raise StorageError(
+                f"file {name!r} claims timestep {stored_timestep}"
+            )
         return grid, report
+
+    @staticmethod
+    def _assemble(container: ChunkedContainer, blob: object) -> Grid2D:
+        """The grid of a validated container (pinned on an immutable,
+        uncompressed blob)."""
+        codec = codec_from_id(container.flags)
+        if container.payload_view is None or codec.name != "identity":
+            payload = b"".join(codec.decode(c) for c in container.chunks)
+            return Grid2D.from_bytes(payload, container.nx, container.ny,
+                                     copy=False)
+        # Uncompressed chunks lie contiguously in the blob: hand the
+        # spanning view straight to the grid (no copy, no join).  The
+        # grid wraps it read-only: read grids are rendered and
+        # checksummed, never stepped.
+        grid = Grid2D.from_bytes(container.payload_view, container.nx,
+                                 container.ny, copy=False)
+        # The validated CRCs were computed from the grid's own bytes.
+        pin_fingerprint(grid.data, container.chunks, container.crcs)
+        if _immutable(blob):
+            pinned(blob, (container.timestep, grid.data))
+        return grid
 
     def read_chunk(self, timestep: int,
                    chunk_index: int) -> tuple[bytes, ReadReport]:

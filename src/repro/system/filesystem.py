@@ -3,7 +3,10 @@
 Responsibilities:
 
 * **Namespace + content**: files really hold their bytes (reads return what
-  writes stored — the pipelines verify simulation data round-trips).
+  writes stored — the pipelines verify simulation data round-trips).  A
+  read-only buffer (``bytes``, a sealed timestep container) is kept as
+  is, not copied, and a whole-file read of a one-write file returns that
+  same object; anything writable is copied on write.
 * **Allocation / layout**: a pluggable allocator maps file bytes onto
   device extents.  ``contiguous`` gives streaming I/O; ``fragmented``
   scatters extents across the device (an aged filesystem), which is the
@@ -135,8 +138,9 @@ class FileSystem:
         self.journal = journal
         self._rng = (rng or RngRegistry()).get("fs-allocator")
         self._files: dict[str, FileHandle] = {}
-        #: name -> list of immutable segments, one per append; consolidated
-        #: lazily on read so write paths never re-copy file bodies.
+        #: name -> list of read-only segments (``bytes`` or buffers kept
+        #: as written), one per append; consolidated lazily on read so
+        #: write paths never re-copy file bodies.
         self._contents: dict[str, list[bytes]] = {}
         #: Journal lives in a reserved region at the front of the device.
         self._journal_offset = 0
@@ -203,7 +207,11 @@ class FileSystem:
     # -- data path -------------------------------------------------------------------
 
     def write(self, name: str, data: bytes, sync: bool = False) -> FsResult:
-        """Append ``data`` to ``name`` (creating it); optionally fsync."""
+        """Append ``data`` to ``name`` (creating it); optionally fsync.
+
+        A read-only ``data`` is stored as is — its owner promises its
+        bytes never change — and anything writable is copied.
+        """
         result = FsResult()
         handle = self._files.get(name)
         if handle is None:
@@ -214,7 +222,8 @@ class FileSystem:
         created = n_before == 0 and not self._contents[name]
         new_extents = self._allocate(len(data))
         handle.extents.extend(new_extents)
-        self._contents[name].append(bytes(data))
+        self._contents[name].append(
+            data if memoryview(data).readonly else bytes(data))
         try:
             if self.cache is not None:
                 for extent in new_extents:
@@ -262,7 +271,8 @@ class FileSystem:
         return data, result
 
     def _content_range(self, name: str, offset: int, nbytes: int) -> bytes:
-        """File bytes [offset, offset+nbytes), copying only when needed."""
+        """File bytes [offset, offset+nbytes), copying only when needed:
+        a whole-file read returns the stored object itself."""
         segments = self._contents[name]
         if len(segments) > 1:
             segments[:] = [b"".join(segments)]

@@ -8,8 +8,11 @@ positional quantity call fails this test, not a code review.
 import json
 import os
 
+import numpy as np
+
 from repro.cli import main
 from repro.lint import RULES, lint_paths
+from repro.lint.cache import LintCache
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
@@ -28,13 +31,13 @@ class TestSelfLint:
         # powercap's float-tolerance, the u16 flag mask in storage
         # format, the serving layer's three wall-clock latency reads,
         # the HTTP client's two retry-backoff sleeps, the handler's
-        # thread-confined close_connection write, and the four
-        # content-keyed memo reads (GL18: the identity pins, the encode,
-        # grid and frame memos, all keyed on content, so
-        # value-deterministic) are deliberate; they must stay visible
-        # as suppressions, not vanish.
+        # thread-confined close_connection write, and the two
+        # content-keyed memo reads (GL18: the identity pins and the
+        # frame cache, both keyed on content, so value-deterministic)
+        # are deliberate; they must stay visible as suppressions, not
+        # vanish.
         result = lint_paths([SRC])
-        assert result.suppressed == 12
+        assert result.suppressed == 10
 
     def test_all_eighteen_rule_families_registered(self):
         assert set(RULES) == {f"GL{i}" for i in range(1, 19)}
@@ -51,6 +54,39 @@ class TestLintCache:
         assert (warm.cache_hits, warm.cache_misses) == (1, 0)
         assert ([f.format() for f in warm.findings]
                 == [f.format() for f in cold.findings])
+
+    def test_a_flipped_bit_in_an_entry_is_a_miss(self, tmp_path,
+                                                 monkeypatch):
+        mod = tmp_path / "m.py"
+        mod.write_text("import random\nwindow = 3600\n")
+        expected = [f.format() for f in lint_paths([str(mod)]).findings]
+        cache = str(tmp_path / "cache")
+        lint_paths([str(mod)], cache_dir=cache)
+        (name,) = os.listdir(cache)
+        entry_path = os.path.join(cache, name)
+        with open(entry_path, "rb") as fh:
+            good = fh.read()
+        loads = []
+        load = LintCache.load
+
+        def spy(self, path, source):
+            loads.append(load(self, path, source))
+            return loads[-1]
+
+        monkeypatch.setattr(LintCache, "load", spy)
+        bits = np.random.default_rng(20).choice(len(good) * 8, size=200,
+                                                replace=False)
+        for bit in bits:
+            corrupt = bytearray(good)
+            corrupt[bit // 8] ^= 1 << (bit % 8)
+            with open(entry_path, "wb") as fh:
+                fh.write(corrupt)
+            result = lint_paths([str(mod)], cache_dir=cache)
+            assert loads[-1] is None, f"bit {bit} loaded"
+            assert [f.format() for f in result.findings] == expected
+            assert result.cache_misses == 1
+        warm = lint_paths([str(mod)], cache_dir=cache)
+        assert warm.cache_hits == 1 and loads[-1] is not None
 
     def test_edit_invalidates_entry(self, tmp_path):
         mod = tmp_path / "m.py"

@@ -5,6 +5,7 @@ import pytest
 
 from repro.calibration import CASE_STUDIES
 from repro.errors import PipelineError
+from repro.fingerprint import pinned
 from repro.machine import Node
 from repro.pipelines import (
     InSituPipeline,
@@ -14,7 +15,10 @@ from repro.pipelines import (
     PostProcessingPipeline,
     science,
 )
+from repro.pipelines import base, post
 from repro.rng import RngRegistry
+from repro.storage import DataReader
+from repro.storage.format import payload_container
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +210,46 @@ class TestScienceSnapshots:
         assert observed.flags.writeable
         assert observed is solver._solver.grid.data
         assert solver._trajectory.snapshots == {}
+
+    def test_dumped_bodies_are_the_snapshot_buffers(self, monkeypatch):
+        cache = science.ScienceCache()
+        monkeypatch.setattr(science, "_CACHE", cache)
+        systems = []
+
+        def capture(*args, **kwargs):
+            systems.append(base.make_storage(*args, **kwargs))
+            return systems[-1]
+
+        monkeypatch.setattr(post, "make_storage", capture)
+        results = self._pair(44)
+        assert all(r.verification.ok for r in results)
+        (fs,) = systems
+        (trajectory,) = cache._trajectories.values()
+        dumped = DataReader(fs).available_timesteps()
+        assert dumped == CASE_STUDIES[3].io_iterations()
+        for step in dumped:
+            body, _ = fs.read(f"ts{step:04d}.dat")
+            assert body is payload_container(trajectory.snapshots[step])
+            assert not body.flags.writeable
+            back, _ = DataReader(fs).read_grid(step)
+            assert np.shares_memory(back.data, body)
+        # No second copy: each snapshot is the payload of its own
+        # container buffer, and those payloads are all the cache holds.
+        snapshots = list(trajectory.snapshots.values())
+        assert all(payload_container(s) is not None for s in snapshots)
+        assert cache._spent_bytes == sum(s.nbytes for s in snapshots)
+
+    def test_observing_copies_once_and_hashes_nothing(self):
+        cache = science.ScienceCache()
+        solver = cache.solver_for(RngRegistry(45))
+        solver.step(3)
+        live = solver._solver.grid.data
+        observed = solver.grid.data
+        assert not np.shares_memory(observed, live)
+        np.testing.assert_array_equal(observed, live)
+        buf = payload_container(observed)
+        assert buf is not None and buf.flags.writeable  # not sealed yet
+        assert pinned(observed) is None  # no fingerprint taken
 
     @staticmethod
     def _pair(seed):

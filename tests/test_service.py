@@ -29,9 +29,10 @@ import pytest
 import repro
 from repro.errors import ConfigError, ServiceError
 from repro.experiments.engine import load_lab_snapshot, load_result, warm_lab
-from repro.experiments.figures import Lab
+from repro.experiments.figures import ExperimentResult, Lab
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.service import ExperimentService, LruCache, ServiceConfig
+from repro.service.http import _served_payload, result_digest
 
 SEED = 2015
 
@@ -303,6 +304,40 @@ class TestTwoTierCache:
             stats = fresh.stats()
             assert stats["disk_hits"] == 1
             assert stats["computed"] == 0
+
+    def test_replies_carry_the_frame_digest_without_repickling(
+            self, tmp_path, monkeypatch):
+        pickled = []
+        dumps = pickle.dumps
+
+        def counting_dumps(obj, *args, **kwargs):
+            if isinstance(obj, ExperimentResult):
+                pickled.append(obj)
+            return dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting_dumps)
+        config = ServiceConfig(jobs=1, cache_dir=str(tmp_path))
+        with ExperimentService(config) as service:
+            computed = service.serve("fig4", seed=SEED)
+            reply = _served_payload(computed)
+        assert computed.source == "computed"
+        assert len(pickled) == 1  # the cache entry's frame
+        with ExperimentService(config) as fresh:
+            del pickled[:]
+            hit = fresh.serve("fig4", seed=SEED)
+            hit_reply = _served_payload(hit)
+            assert hit.source == "disk"
+            assert pickled == []
+            again = fresh.serve("fig4", seed=SEED)
+            assert again.source == "memory"
+            assert again.digest == hit.digest
+        with ExperimentService(ServiceConfig(jobs=1)) as memory_only:
+            del pickled[:]
+            uncached = memory_only.serve("fig4", seed=SEED)
+            assert len(pickled) == 1
+        expected = result_digest(computed.result)
+        assert (reply["digest"] == hit_reply["digest"] == uncached.digest
+                == expected)
 
     def test_worker_lab_restored_from_snapshot(self, tmp_path):
         cache_dir = str(tmp_path)

@@ -1,5 +1,8 @@
 """Timestep writer/reader over the simulated filesystem."""
 
+import sys
+import threading
+import time
 import zlib
 
 import numpy as np
@@ -11,15 +14,28 @@ from repro.machine import HddModel
 from repro.machine.specs import DiskSpec
 from repro.sim import Grid2D
 from repro.storage import DataReader, DataWriter
-from repro.storage.compression import ZlibCodec
+from repro.storage import reader as reader_module
+from repro.storage import writer as writer_module
+from repro.storage.compression import IdentityCodec, ZlibCodec, codec_id
+from repro.storage.format import (
+    container_payload,
+    decode_container,
+    encode_container,
+    payload_container,
+    seal_container,
+)
 from repro.system import BlockQueue, FileSystem, PageCache
 from repro.units import KiB
 
 
-@pytest.fixture
-def fs() -> FileSystem:
+def make_fs() -> FileSystem:
     queue = BlockQueue(HddModel(DiskSpec()))
     return FileSystem(queue, cache=PageCache(queue))
+
+
+@pytest.fixture
+def fs() -> FileSystem:
+    return make_fs()
 
 
 def sample_grid(seed=0) -> Grid2D:
@@ -177,3 +193,156 @@ class TestSharedChecksums:
         scratch = back.data.copy()
         assert scratch.flags.writeable
         assert pin == field_fingerprint(scratch) == field_fingerprint(grid.data)
+
+
+def snapshot_grid(seed=0, shape=(512, 128)) -> Grid2D:
+    """A field recorded the science cache's way: the read-only payload of
+    an unsealed container buffer (4 row blocks of 128 KiB)."""
+    field = np.random.default_rng(seed).random(shape)
+    return Grid2D.from_array(container_payload(field))
+
+
+class TestOneBufferPerDumpedField:
+    """A snapshot, its dumped file body and its read-back grid are one
+    buffer; every other dump is joined, byte for byte as before."""
+
+    def test_first_dump_seals_the_snapshot_buffer_as_the_file_body(self, fs):
+        grid = snapshot_grid(1)
+        buf = payload_container(grid.data)
+        assert buf is not None and buf.flags.writeable
+        report = DataWriter(fs).write_timestep(grid, 7, physical_time=0.5)
+        body, _ = fs.read("ts0007.dat")
+        assert body is buf and not buf.flags.writeable
+        assert report.nbytes == len(buf)
+        expected = encode_container(grid.chunks(128 * KiB), grid.nx, grid.ny,
+                                    timestep=7, physical_time=0.5)
+        assert buf.tobytes() == expected
+        back, _ = DataReader(fs).read_grid(7)
+        assert np.shares_memory(back.data, buf)
+        np.testing.assert_array_equal(back.data, grid.data)
+
+    def test_a_matching_dump_reuses_the_sealed_buffer(self, fs):
+        grid = snapshot_grid(2)
+        DataWriter(fs).write_timestep(grid, 3, physical_time=1.5)
+        DataWriter(fs, prefix="ck").write_timestep(grid, 3,
+                                                   physical_time=1.5)
+        assert fs.read("ck0003.dat")[0] is fs.read("ts0003.dat")[0]
+
+    @pytest.mark.parametrize("dump", [
+        {"timestep": 4},
+        {"physical_time": 2.5},
+        {"physical_time": -0.0},
+        {"chunk_bytes": 64 * KiB},
+        {"codec": ZlibCodec()},
+    ], ids=["timestep", "physical-time", "signed-zero-time", "chunk-size",
+            "codec"])
+    def test_a_differing_dump_is_joined_and_leaves_the_seal(self, fs, dump):
+        grid = snapshot_grid(3)
+        DataWriter(fs).write_timestep(grid, 3, physical_time=0.0)
+        buf = payload_container(grid.data)
+        sealed = buf.tobytes()
+        timestep = dump.get("timestep", 3)
+        physical_time = dump.get("physical_time", 0.0)
+        chunk_bytes = dump.get("chunk_bytes", 128 * KiB)
+        codec = dump.get("codec", IdentityCodec())
+        DataWriter(fs, prefix="alt", chunk_bytes=chunk_bytes,
+                   codec=codec).write_timestep(
+            grid, timestep, physical_time=physical_time)
+        body, _ = fs.read(f"alt{timestep:04d}.dat")
+        assert body is not buf
+        assert body == encode_container(
+            [codec.encode(c) for c in grid.chunks(chunk_bytes)],
+            grid.nx, grid.ny, timestep=timestep,
+            physical_time=physical_time, flags=codec_id(codec))
+        assert buf.tobytes() == sealed and not buf.flags.writeable
+
+    @pytest.mark.parametrize("writer_kwargs", [
+        {"codec": ZlibCodec()},
+        {"chunk_bytes": 64 * KiB},
+    ], ids=["zlib", "64KiB-chunks"])
+    def test_other_geometries_leave_the_buffer_unsealed(self, fs,
+                                                        writer_kwargs):
+        grid = snapshot_grid(4)
+        DataWriter(fs, **writer_kwargs).write_timestep(grid, 0)
+        buf = payload_container(grid.data)
+        assert buf.flags.writeable
+        assert fs.read("ts0000.dat")[0] is not buf
+        DataWriter(fs, prefix="id").write_timestep(grid, 0)
+        assert fs.read("id0000.dat")[0] is buf
+
+    def test_concurrent_dumps_of_one_snapshot_seal_it_once(self,
+                                                            monkeypatch):
+        seals = []
+
+        def slow_seal(*args):
+            seals.append(args[0])
+            time.sleep(0.05)  # widen the window a second sealer would use
+            return seal_container(*args)
+
+        monkeypatch.setattr(writer_module, "seal_container", slow_seal)
+        grid = snapshot_grid(5)
+        systems = [make_fs() for _ in range(4)]  # more threads than cores
+        start = threading.Barrier(len(systems), timeout=30)
+
+        def dump(target):
+            start.wait()
+            DataWriter(target).write_timestep(grid, 9, physical_time=4.5)
+
+        threads = [threading.Thread(target=dump, args=(s,)) for s in systems]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        bodies = [s.read("ts0009.dat")[0] for s in systems]
+        assert len(seals) == 1
+        assert all(body is payload_container(grid.data) for body in bodies)
+        assert bodies[0].tobytes() == encode_container(
+            grid.chunks(128 * KiB), grid.nx, grid.ny, timestep=9,
+            physical_time=4.5)
+
+    def test_first_read_of_a_sealed_buffer_validates_every_chunk(self, fs):
+        grid = snapshot_grid(6)
+        buf = payload_container(grid.data)
+        bad_crcs = list(field_fingerprint(grid.data)[2])
+        bad_crcs[-1] ^= 1
+        seal_container(buf, grid.nx, grid.ny, 0, 0.0, 0, bad_crcs)
+        fs.write("ts0000.dat", buf)
+        assert fs.read("ts0000.dat")[0] is buf
+        with pytest.raises(FileFormatError):
+            DataReader(fs).read_grid(0)
+
+    def test_a_blob_object_is_decoded_once(self, fs, monkeypatch):
+        decoded = []
+        monkeypatch.setattr(
+            reader_module, "decode_container",
+            lambda blob: decoded.append(blob) or decode_container(blob))
+        DataWriter(fs).write_timestep(snapshot_grid(7), 0)
+        first, _ = DataReader(fs).read_grid(0)
+        again, _ = DataReader(fs).read_grid(0)
+        assert len(decoded) == 1
+        assert again.data is first.data
+
+    def test_compressed_containers_decode_on_every_read(self, fs,
+                                                        monkeypatch):
+        decoded = []
+        monkeypatch.setattr(
+            reader_module, "decode_container",
+            lambda blob: decoded.append(blob) or decode_container(blob))
+        DataWriter(fs, codec=ZlibCodec()).write_timestep(snapshot_grid(8), 0)
+        DataReader(fs).read_grid(0)
+        DataReader(fs).read_grid(0)
+        assert len(decoded) == 2
+
+    def test_fields_that_do_not_fit_get_no_container(self):
+        assert container_payload(np.zeros((8, 8), dtype="<f4")) is None
+        assert container_payload(np.zeros((8, 16))[:, ::2]) is None
+        assert container_payload(np.zeros((2, 16 * KiB + 1))) is None
+        assert payload_container(np.zeros((8, 8))) is None
+        snap = container_payload(np.ones((8, 8)))
+        assert payload_container(snap[1:]) is None

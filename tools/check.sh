@@ -288,9 +288,10 @@ echo "== cluster benchmark gate (committed JSON self-consistency) =="
 python benchmarks/compare_cluster.py \
     benchmarks/output/BENCH_serve.json benchmarks/output/BENCH_serve.json
 
-echo "== perf smoke (run_all under ceiling) =="
+echo "== perf smoke (run_all under time and peak-RSS ceilings) =="
 python - <<'PY'
 import os
+import resource
 import time
 from repro.experiments.registry import run_all
 
@@ -302,11 +303,19 @@ from repro.experiments.registry import run_all
 # container, so the workflow raises the ceiling via REPRO_PERF_CEILING_S
 # instead of weakening the default.
 CEILING_S = float(os.environ.get("REPRO_PERF_CEILING_S", "3.0"))
+# Peak RSS of this process, fixed (no override): one buffer per dumped
+# field puts a fresh run-all at ~282 MiB on the reference container
+# (482 MiB when each dumped field was held twice, as a snapshot and as
+# a container blob).
+RSS_CEILING_MIB = 384
 start = time.perf_counter()
 run_all()
 elapsed = time.perf_counter() - start
-print(f"run_all: {elapsed:.2f}s (ceiling {CEILING_S:.1f}s)")
-raise SystemExit(0 if elapsed <= CEILING_S else 1)
+rss_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(f"run_all: {elapsed:.2f}s (ceiling {CEILING_S:.1f}s), "
+      f"peak RSS {rss_mib:.0f} MiB (ceiling {RSS_CEILING_MIB} MiB)")
+raise SystemExit(0 if elapsed <= CEILING_S
+                 and rss_mib <= RSS_CEILING_MIB else 1)
 PY
 
 echo "All checks passed."
