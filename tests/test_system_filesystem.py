@@ -1,5 +1,6 @@
 """Filesystem: content round-trips, layout policies, journaling."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -38,6 +39,18 @@ class TestContent:
         fs.write("f", b"hello world")
         data, _ = fs.read("f", offset=6, nbytes=5)
         assert data == b"world"
+
+    def test_read_only_buffers_are_kept_and_writables_copied(self):
+        fs = make_fs()
+        frozen = np.arange(4096, dtype=np.uint8)
+        frozen.flags.writeable = False
+        fs.write("frozen", frozen)
+        assert fs.read("frozen")[0] is frozen
+        assert fs.read("frozen", offset=8, nbytes=4)[0] == bytes([8, 9, 10, 11])
+        scratch = bytearray(b"abcd")
+        fs.write("scratch", scratch)
+        scratch[0:1] = b"z"
+        assert fs.read("scratch")[0] == b"abcd"
 
     def test_missing_file_raises(self):
         with pytest.raises(FileNotFound):
