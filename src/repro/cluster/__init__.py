@@ -15,19 +15,8 @@ scaling curve.
 
 from repro.cluster.admission import AdmissionGate, AdmissionPolicy
 from repro.cluster.ring import HashRing
-from repro.cluster.router import (
-    Router,
-    RouterConfig,
-    RouterHTTPServer,
-    ShardInfo,
-    make_router_server,
-)
-from repro.cluster.shard import (
-    ShardHTTPServer,
-    make_shard_server,
-    run_shard,
-    shard_names,
-)
+from repro.cluster.router import Router, RouterConfig, ShardInfo, make_router_server
+from repro.cluster.shard import make_shard_server, run_shard, shard_names
 from repro.cluster.supervisor import ClusterConfig, LocalCluster, SpawnedCluster
 
 __all__ = [
@@ -38,8 +27,6 @@ __all__ = [
     "LocalCluster",
     "Router",
     "RouterConfig",
-    "RouterHTTPServer",
-    "ShardHTTPServer",
     "ShardInfo",
     "SpawnedCluster",
     "make_router_server",

@@ -9,9 +9,9 @@ keeps an overloaded in-transit tier's latency bounded instead of
 collapsing (the Catalyst-ADIOS2 lesson: explicit admission limits, not
 merely parallelism).
 
-The gate is deliberately tiny and lock-guarded; the HTTP handler brackets
-each ``/run`` with ``admit()`` / ``release()`` and the stats endpoint
-snapshots the counters.
+The gate is deliberately tiny and lock-guarded; the shard role
+(:class:`~repro.cluster.shard.Shard`) brackets each ``/run`` with
+``admit()`` / ``release()`` and its stats route snapshots the counters.
 """
 
 from __future__ import annotations

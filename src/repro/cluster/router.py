@@ -1,8 +1,10 @@
 """The front router: one address in front of N shard workers.
 
 The router speaks the same ``/run`` protocol as a single ``repro
-serve`` endpoint — clients cannot tell a cluster from one node — and
-adds the cluster behaviours on top:
+serve`` endpoint — clients cannot tell a cluster from one node.
+:class:`Router` is itself the role behind the one HTTP adapter of
+:mod:`repro.service.http`: each request arrives as one
+:meth:`Router.handle` call.  It adds the cluster behaviours on top:
 
 * **placement** — the engine's sha256
   :func:`~repro.experiments.engine.cache_key` is consistent-hashed onto
@@ -34,7 +36,6 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from urllib.parse import urlsplit
 
 from repro.cluster.ring import HashRing
 from repro.cluster.shard import shard_stats_totals
@@ -44,7 +45,7 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.rng import DEFAULT_SEED
 from repro.service.client import ServiceClient
-from repro.service.http import ClosingHTTPServer, Reply, ServiceRequestHandler
+from repro.service.http import ClosingHTTPServer, Reply, Request, run_params
 from repro.units import KiB
 from repro.version import __version__
 
@@ -496,20 +497,53 @@ class Router:
     def shards(self) -> list[ShardInfo]:
         return list(self._shards.values())
 
+    # -- requests -----------------------------------------------------------------
 
-class RouterRequestHandler(ServiceRequestHandler):
-    """The serve protocol fronted by a Router instead of a service."""
+    def handle(self, request: Request) -> Reply:
+        """Answer /run, POST /invalidate and GET /health, /stats, /status.
 
-    server_version = f"repro-router/{__version__}"
+        ``/run`` and ``/invalidate`` check their parameters first, before
+        any ring lookup, hop or fan-out.
+        """
+        route, method = request.route, request.method
+        if route == "/run":
+            return self._run_reply(request)
+        if route == "/invalidate" and method == "POST":
+            try:
+                outcome = self.invalidate(*run_params(request))
+            except ConfigError as exc:
+                return 400, {"error": str(exc)}, None
+            except ReproError as exc:
+                return 500, {"error": str(exc)}, None
+            return 200, outcome, None
+        if method == "GET":
+            if route == "/health":
+                healthy = self.healthy()
+                return 200, {
+                    "status": "ok" if any(healthy.values()) else "degraded",
+                    "version": __version__,
+                    "role": "router",
+                    "healthy": healthy,
+                }, None
+            if route == "/stats":
+                return 200, self.stats(), None
+            if route == "/status":
+                return 200, {
+                    "version": __version__,
+                    "role": "router",
+                    "experiments": list(EXPERIMENTS),
+                    "shards": [{"name": s.name, "host": s.host, "port": s.port}
+                               for s in self.shards],
+                    "replicas": self.config.replicas,
+                    "hot_threshold": self.config.hot_threshold,
+                    "healthy": self.healthy(),
+                }, None
+        return 404, {"error": f"unknown route {route!r}"}, None
 
-    @property
-    def _router(self) -> Router:
-        return self.server.router
-
-    def _run_reply(self) -> Reply:
+    def _run_reply(self, request: Request) -> Reply:
+        """The ``/run`` reply; a shard's 503 passes through with its hint."""
         try:
-            experiment_id, seed = self._run_params()
-            reply = self._router.route(experiment_id, seed)
+            reply = self.route(*run_params(request))
         except ConfigError as exc:
             return 400, {"error": str(exc)}, None
         except ServiceError as exc:
@@ -523,69 +557,8 @@ class RouterRequestHandler(ServiceRequestHandler):
             return 500, {"error": str(exc)}, None
         return 200, reply, None
 
-    def _handle_invalidate(self) -> None:
-        try:
-            experiment_id, seed = self._run_params()
-            outcome = self._router.invalidate(experiment_id, seed)
-        except ConfigError as exc:
-            self._error(400, str(exc))
-        except ReproError as exc:
-            self._error(500, str(exc))
-        else:
-            self._reply(200, outcome)
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        route = self._route()
-        if route == "/health":
-            healthy = self._router.healthy()
-            self._reply(200, {
-                "status": "ok" if any(healthy.values()) else "degraded",
-                "version": __version__,
-                "role": "router",
-                "healthy": healthy,
-            })
-        elif route == "/stats":
-            self._reply(200, self._router.stats())
-        elif route == "/status":
-            self._reply(200, {
-                "version": __version__,
-                "role": "router",
-                "experiments": list(EXPERIMENTS),
-                "shards": [{"name": s.name, "host": s.host, "port": s.port}
-                           for s in self._router.shards],
-                "replicas": self._router.config.replicas,
-                "hot_threshold": self._router.config.hot_threshold,
-                "healthy": self._router.healthy(),
-            })
-        elif route == "/run":
-            self._handle_run()
-        else:
-            self._error(404, f"unknown route {route!r}")
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        route = self._route()
-        if route == "/run":
-            self._handle_run()
-        elif route == "/invalidate":
-            self._handle_invalidate()
-        else:
-            self._error(404, f"unknown route {route!r}")
-
-    def _route(self) -> str:
-        return urlsplit(self.path).path.rstrip("/") or "/"
-
-
-class RouterHTTPServer(ClosingHTTPServer):
-    """ThreadingHTTPServer that owns a Router."""
-
-    def __init__(self, address: tuple[str, int], router: Router,
-                 verbose: bool = False) -> None:
-        super().__init__(address, RouterRequestHandler)
-        self.router = router
-        self.verbose = verbose
-
 
 def make_router_server(host: str, port: int, router: Router,
-                       verbose: bool = False) -> RouterHTTPServer:
+                       verbose: bool = False) -> ClosingHTTPServer:
     """Bind (but do not start) the router endpoint."""
-    return RouterHTTPServer((host, port), router, verbose=verbose)
+    return ClosingHTTPServer((host, port), router, verbose=verbose)

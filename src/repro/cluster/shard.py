@@ -2,8 +2,11 @@
 
 A shard is the cluster's unit of capacity — the existing warm-Lab +
 two-tier-cache + single-flight serving stack
-(:class:`~repro.service.core.ExperimentService`), exposed over the same
-JSON/HTTP protocol as ``repro serve`` plus two cluster-facing additions:
+(:class:`~repro.service.core.ExperimentService`).  Its role,
+:class:`Shard`, sits behind the one HTTP adapter of
+:mod:`repro.service.http` and answers ``repro serve``'s routes through
+the :class:`~repro.service.http.ServiceApp` it holds, plus two
+cluster-facing additions:
 
 * **admission control** — every ``/run`` passes an
   :class:`~repro.cluster.admission.AdmissionGate`; past the queue
@@ -30,130 +33,96 @@ import multiprocessing.connection
 import signal
 import threading
 from typing import Any
-from urllib.parse import urlsplit
 
 from repro.cluster.admission import AdmissionGate, AdmissionPolicy
 from repro.errors import ConfigError, ReproError
 from repro.service.core import ExperimentService, ServiceConfig
-from repro.service.http import (
-    MAX_BODY_BYTES,
-    ExperimentHTTPServer,
-    Reply,
-    ServiceRequestHandler,
-)
+from repro.service.http import ClosingHTTPServer, Reply, Request, ServiceApp, run_params
 from repro.version import __version__
 
 
-class ShardRequestHandler(ServiceRequestHandler):
-    """The serve protocol plus admission control and /invalidate."""
+class Shard:
+    """A shard's role: ``repro serve``'s routes plus admission and /invalidate.
 
-    server_version = f"repro-shard/{__version__}"
+    It answers ``/run`` through its :class:`AdmissionGate`, ``POST
+    /invalidate``, and ``GET /stats`` and ``GET /health`` with its name
+    and queue depth; every other request goes to the
+    :class:`~repro.service.http.ServiceApp` it holds.
+    """
 
-    @property
-    def _gate(self) -> AdmissionGate:
-        return self.server.gate
+    def __init__(self, service: ExperimentService, gate: AdmissionGate,
+                 name: str) -> None:
+        self.service = service
+        self.gate = gate
+        self.name = name
+        self.app = ServiceApp(service)
 
-    @property
-    def _shard_name(self) -> str:
-        return self.server.shard_name
+    def handle(self, request: Request) -> Reply:
+        route, method = request.route, request.method
+        if route == "/run":
+            return self._run(request)
+        if route == "/invalidate" and method == "POST":
+            return self._invalidate(request)
+        if route == "/stats" and method == "GET":
+            stats = self.service.stats()
+            stats["shard"] = self.name
+            stats["admission"] = self.gate.stats()
+            return 200, stats, None
+        if route == "/health" and method == "GET":
+            return 200, {
+                "status": "ok",
+                "version": __version__,
+                "shard": self.name,
+                "depth": self.gate.depth,
+            }, None
+        return self.app.handle(request)
 
-    def _drain_body(self) -> None:
-        """Consume an unparsed request body so keep-alive stays in sync.
-
-        Shedding replies before ``_run_params`` ever touches ``rfile``;
-        leaving the POST body unread would make the *next* request on
-        this keep-alive connection parse those bytes as a request line.
-        """
-        length = self.content_length or 0
-        if length > MAX_BODY_BYTES:
-            self.close_connection = True
-        elif length:
-            self.rfile.read(length)
-
-    def _run_reply(self) -> Reply:
-        gate = self._gate
-        if not gate.admit():
-            self._drain_body()
-            hint = gate.policy.retry_after_s
+    def _run(self, request: Request) -> Reply:
+        """``/run`` if admitted; past the watermark, 503 + ``Retry-After``."""
+        if not self.gate.admit():
+            hint = self.gate.policy.retry_after_s
             return 503, {
-                "error": f"shard {self._shard_name} overloaded "
-                         f"(queue depth >= {gate.policy.max_queue_depth})",
-                "shard": self._shard_name,
+                "error": f"shard {self.name} overloaded "
+                         f"(queue depth >= {self.gate.policy.max_queue_depth})",
+                "shard": self.name,
                 "retry_after_s": hint,
             }, {"Retry-After": f"{hint:g}"}
         # The slot frees as soon as the service returns, before the
         # reply is written: a client that reads /stats right after its
         # reply must not find its own request still queued.
         try:
-            return super()._run_reply()
+            return self.app.run(request)
         finally:
-            gate.release()
+            self.gate.release()
 
-    def _handle_invalidate(self) -> None:
+    def _invalidate(self, request: Request) -> Reply:
+        """``POST /invalidate``: drop one key from both cache tiers."""
         try:
-            experiment_id, seed = self._run_params()
-            dropped = self._service.invalidate(experiment_id, seed)
+            experiment_id, seed = run_params(request)
+            dropped = self.service.invalidate(experiment_id, seed)
         except ConfigError as exc:
-            self._error(400, str(exc))
+            return 400, {"error": str(exc)}, None
         except ReproError as exc:
-            self._error(500, str(exc))
-        else:
-            self._reply(200, {
-                "invalidated": dropped,
-                "experiment": experiment_id,
-                "seed": seed,
-                "shard": self._shard_name,
-            })
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        route = self._route()
-        if route == "/stats":
-            stats = self._service.stats()
-            stats["shard"] = self._shard_name
-            stats["admission"] = self._gate.stats()
-            self._reply(200, stats)
-        elif route == "/health":
-            self._reply(200, {
-                "status": "ok",
-                "version": __version__,
-                "shard": self._shard_name,
-                "depth": self._gate.depth,
-            })
-        else:
-            super().do_GET()
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        if self._route() == "/invalidate":
-            self._handle_invalidate()
-        else:
-            super().do_POST()
-
-    def _route(self) -> str:
-        return urlsplit(self.path).path.rstrip("/") or "/"
-
-
-class ShardHTTPServer(ExperimentHTTPServer):
-    """An ExperimentHTTPServer that also owns a name and a gate."""
-
-    def __init__(self, address: tuple[str, int], service: ExperimentService,
-                 name: str, gate: AdmissionGate,
-                 verbose: bool = False) -> None:
-        super().__init__(address, service, verbose=verbose,
-                         handler=ShardRequestHandler)
-        self.shard_name = name
-        self.gate = gate
+            return 500, {"error": str(exc)}, None
+        return 200, {
+            "invalidated": dropped,
+            "experiment": experiment_id,
+            "seed": seed,
+            "shard": self.name,
+        }, None
 
 
 def make_shard_server(host: str, port: int, name: str,
                       service: ExperimentService | None = None,
                       config: ServiceConfig | None = None,
                       admission: AdmissionPolicy | None = None,
-                      verbose: bool = False) -> ShardHTTPServer:
+                      verbose: bool = False) -> ClosingHTTPServer:
     """Bind (but do not start) one shard endpoint."""
     if service is None:
         service = ExperimentService(config)
-    return ShardHTTPServer((host, port), service, name,
-                           AdmissionGate(admission), verbose=verbose)
+    return ClosingHTTPServer(
+        (host, port), Shard(service, AdmissionGate(admission), name),
+        verbose=verbose)
 
 
 def run_shard(conn: multiprocessing.connection.Connection, host: str,
@@ -206,7 +175,7 @@ def run_shard(conn: multiprocessing.connection.Connection, host: str,
 
 
 def _stop_on_eof(lifeline: multiprocessing.connection.Connection,
-                 server: ShardHTTPServer) -> None:
+                 server: ClosingHTTPServer) -> None:
     """Block until the parent's end of ``lifeline`` closes; stop ``server``."""
     multiprocessing.connection.wait([lifeline])
     server.shutdown()

@@ -22,6 +22,7 @@ import multiprocessing.connection
 import threading
 import time
 from dataclasses import dataclass
+from typing import cast
 
 from repro.cluster.admission import (
     DEFAULT_QUEUE_DEPTH,
@@ -32,13 +33,13 @@ from repro.cluster.router import (
     DEFAULT_HOT_THRESHOLD,
     Router,
     RouterConfig,
-    RouterHTTPServer,
     ShardInfo,
     make_router_server,
 )
-from repro.cluster.shard import ShardHTTPServer, make_shard_server, shard_names
+from repro.cluster.shard import Shard, make_shard_server, shard_names
 from repro.errors import ConfigError, ServiceError
 from repro.service.core import ExperimentService, ServiceConfig
+from repro.service.http import ClosingHTTPServer
 from repro.units import MINUTE
 
 
@@ -80,10 +81,10 @@ class LocalCluster:
                  router_port: int = 0) -> None:
         self.config = config or ClusterConfig()
         self._router_port = router_port
-        self._shard_servers: dict[str, ShardHTTPServer] = {}
+        self._shard_servers: dict[str, ClosingHTTPServer] = {}
         self._threads: list[threading.Thread] = []
         self.router: Router | None = None
-        self.router_server: RouterHTTPServer | None = None
+        self.router_server: ClosingHTTPServer | None = None
 
     def start(self) -> "LocalCluster":
         host = self.config.host
@@ -108,8 +109,7 @@ class LocalCluster:
             raise
         return self
 
-    def _serve_on_thread(self, server: ShardHTTPServer | RouterHTTPServer,
-                         name: str) -> None:
+    def _serve_on_thread(self, server: ClosingHTTPServer, name: str) -> None:
         thread = threading.Thread(target=server.serve_forever, name=name,
                                   daemon=True)
         thread.start()
@@ -119,7 +119,7 @@ class LocalCluster:
 
     def service(self, name: str) -> ExperimentService:
         """Direct access to one shard's in-process service (assertions)."""
-        return self._shard_servers[name].service
+        return cast(Shard, self._shard_servers[name].app).service
 
     def shard_port(self, name: str) -> int:
         return self._shard_servers[name].port
@@ -135,7 +135,7 @@ class LocalCluster:
         server = self._shard_servers[name]
         server.shutdown()
         server.server_close()
-        server.service.close(wait=False)
+        self.service(name).close(wait=False)
 
     def stop(self) -> None:
         if self.router is not None:
@@ -143,13 +143,13 @@ class LocalCluster:
         if self.router_server is not None:
             self.router_server.shutdown()
             self.router_server.server_close()
-        for server in self._shard_servers.values():
+        for name, server in self._shard_servers.items():
             try:
                 server.shutdown()
                 server.server_close()
             except OSError:  # pragma: no cover - already stopped
                 pass
-            server.service.close(wait=False)
+            self.service(name).close(wait=False)
         for thread in self._threads:
             thread.join(timeout=5)
         self._threads.clear()
@@ -190,7 +190,7 @@ class SpawnedCluster:
         self._processes: dict[str, multiprocessing.process.BaseProcess] = {}
         self._infos: list[ShardInfo] = []
         self.router: Router | None = None
-        self.router_server: RouterHTTPServer | None = None
+        self.router_server: ClosingHTTPServer | None = None
         self._router_thread: threading.Thread | None = None
         self._lifeline: multiprocessing.connection.Connection | None = None
 

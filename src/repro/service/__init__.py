@@ -15,14 +15,12 @@ from repro.lazy import lazy_exports
 __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.service.cache": ("LruCache",),
     "repro.service.core": ("ExperimentService", "Served", "ServiceConfig"),
-    "repro.service.http": ("ExperimentHTTPServer", "make_server",
-                           "result_digest"),
+    "repro.service.http": ("make_server", "result_digest"),
     "repro.service.wire": ("DEFAULT_PORT",),
 })
 
 __all__ = [
     "DEFAULT_PORT",
-    "ExperimentHTTPServer",
     "ExperimentService",
     "LruCache",
     "Served",

@@ -270,13 +270,14 @@ class ExperimentService:
         """
         get_experiment(experiment_id)  # fail fast on unknown ids
         key = cache_key(experiment_id, seed)
-        dropped_mem = self._mem.remove(key)
+        # Under the service lock, as serve() reads the memory tier.
+        with self._lock:
+            dropped_mem = self._mem.remove(key)
+            self._invalidations += 1
         dropped_disk = False
         if self.config.cache_dir is not None:
             dropped_disk = drop_result(self.config.cache_dir,
                                        experiment_id, seed)
-        with self._lock:
-            self._invalidations += 1
         return dropped_mem or dropped_disk
 
     # -- observability / lifecycle ----------------------------------------------

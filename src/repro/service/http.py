@@ -1,11 +1,17 @@
-"""JSON-over-HTTP transport for the experiment service (stdlib only).
+"""JSON-over-HTTP transport for the serving tier (stdlib only).
 
-``repro serve`` binds an :class:`~repro.service.core.ExperimentService`
-behind :class:`http.server.ThreadingHTTPServer` — every connection gets
-a handler thread, so concurrent identical requests genuinely race into
-the service and exercise its single-flight path.
+One adapter, :class:`RequestHandler`, owns all socket I/O for every
+serving role.  It parses the request line, the head (with
+:func:`~repro.service.wire.read_head`, the one header parser) and the
+whole body, hands a socket-free :class:`Request` to the role its
+:class:`ClosingHTTPServer` carries, and writes the returned
+:data:`Reply` in one write.  A role is any :class:`App`, an object with
+``handle(request) -> Reply``: :class:`ServiceApp` for ``repro serve``,
+and the shard and the router of :mod:`repro.cluster`.  Every connection
+gets a handler thread, so concurrent identical requests genuinely race
+into the service and exercise its single-flight path.
 
-Endpoints (all JSON):
+``repro serve``'s endpoints (all JSON):
 
 ``GET /health``
     Liveness: package version and a constant ``{"status": "ok"}``.
@@ -22,12 +28,9 @@ Endpoints (all JSON):
     run.
 
 Errors map to status codes: unknown route 404, malformed request 400,
-unknown experiment id 400, internal failure 500.  Nothing here touches
-experiment math; the transport is a thin shell over the in-process API.
-
-Every serving hop speaks the HTTP/1.1 subset of
-:mod:`repro.service.wire`; the request handler here parses heads with
-its :func:`~repro.service.wire.read_head`, the one header parser.
+unknown experiment id or a seed that is not an integer 400, internal
+failure 500.  Nothing here touches experiment math; the transport is a
+thin shell over the in-process API.
 """
 
 from __future__ import annotations
@@ -38,13 +41,15 @@ import re
 import socket
 import sys
 import threading
+from dataclasses import dataclass, field
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Protocol
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigError, ProtocolError, ReproError
 from repro.experiments.engine import pickle_result
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.rng import DEFAULT_SEED
 from repro.service.core import ExperimentService, Served
 from repro.service.wire import DEFAULT_PORT, read_head
@@ -60,6 +65,29 @@ _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
 Reply = tuple[int, dict, dict[str, str] | None]
 
 
+@dataclass(frozen=True)
+class Request:
+    """One parsed request, with no socket behind it.
+
+    ``route`` is the path without its query string or trailing ``/``;
+    ``query`` holds each query parameter's last value; ``body`` is the
+    whole request body, already read.
+    """
+
+    method: str
+    route: str
+    query: dict[str, str] = field(default_factory=dict)
+    body: bytes = b""
+
+
+class App(Protocol):
+    """A serving role: one parsed request in, one reply out."""
+
+    def handle(self, request: Request) -> Reply:
+        """The reply to ``request``; a bad request is a 4xx reply."""
+        ...
+
+
 def result_digest(result: object) -> str:
     """sha256 hex digest of the result's canonical pickle bytes.
 
@@ -68,6 +96,39 @@ def result_digest(result: object) -> str:
     checks against a reference result.
     """
     return hashlib.sha256(pickle_result(result)).hexdigest()
+
+
+def run_params(request: Request) -> tuple[str, int]:
+    """(experiment id, seed) of a ``/run`` or ``/invalidate`` request.
+
+    The query string, overlaid by a POST's JSON object body.  Every role
+    checks both here, at the first hop: a body that is not a JSON
+    object, a missing or unknown experiment id, or a seed that is not an
+    integer (a JSON int that is not a bool, or a string ``int()``
+    accepts) raises :class:`~repro.errors.ConfigError`, a 400.
+    """
+    params: dict[str, object] = dict(request.query)
+    if request.method == "POST" and request.body:
+        try:
+            body = json.loads(request.body)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"request body is not JSON: {exc}") from exc
+        if not isinstance(body, dict):
+            raise ConfigError("request body must be a JSON object")
+        params.update(body)
+    experiment_id = params.get("experiment")
+    if not experiment_id or not isinstance(experiment_id, str):
+        raise ConfigError("missing 'experiment' parameter")
+    get_experiment(experiment_id)
+    seed = params.get("seed", DEFAULT_SEED)
+    if isinstance(seed, str):
+        try:
+            seed = int(seed)
+        except ValueError as exc:
+            raise ConfigError(f"seed must be an integer: {exc}") from exc
+    elif isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    return experiment_id, seed
 
 
 def _served_payload(served: Served) -> dict:
@@ -82,34 +143,74 @@ def _served_payload(served: Served) -> dict:
     }
 
 
-class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs onto the wrapped ExperimentService."""
+class ServiceApp:
+    """``repro serve``'s routes over one :class:`ExperimentService`."""
 
-    server_version = f"repro-serve/{__version__}"
+    def __init__(self, service: ExperimentService) -> None:
+        self.service = service
+
+    def handle(self, request: Request) -> Reply:
+        route = request.route
+        if route == "/run":
+            return self.run(request)
+        if request.method == "GET":
+            if route == "/health":
+                return 200, {"status": "ok", "version": __version__}, None
+            if route == "/stats":
+                return 200, self.service.stats(), None
+            if route == "/status":
+                stats = self.service.stats()
+                return 200, {
+                    "version": __version__,
+                    "experiments": list(EXPERIMENTS),
+                    "jobs": self.service.config.jobs,
+                    "cache_dir": self.service.config.cache_dir,
+                    "uptime_s": round(stats["uptime_s"], 3),
+                    "inflight": stats["inflight"],
+                }, None
+        return 404, {"error": f"unknown route {route!r}"}, None
+
+    def run(self, request: Request) -> Reply:
+        """The ``/run`` reply."""
+        try:
+            served = self.service.serve(*run_params(request))
+        except ConfigError as exc:
+            return 400, {"error": str(exc)}, None
+        except ReproError as exc:
+            return 500, {"error": str(exc)}, None
+        return 200, _served_payload(served), None
+
+
+class RequestHandler(BaseHTTPRequestHandler):
+    """The one HTTP adapter: read a request, ask the server's role, reply."""
+
+    server_version = f"repro/{__version__}"
     protocol_version = "HTTP/1.1"
     # Small JSON replies must not sit behind Nagle waiting for the ACK
     # of the previous keep-alive exchange (a ~40 ms stall per request).
     disable_nagle_algorithm = True
 
-    #: The request's head fields (see :func:`read_head`) and its
-    #: validated ``Content-Length``; set by :meth:`parse_request`.
-    fields: dict[str, str]
-    content_length: int | None
+    server: ClosingHTTPServer
+    #: The request, None when its body is over :data:`MAX_BODY_BYTES` and
+    #: was left unread; set by :meth:`parse_request`.
+    parsed: Request | None
 
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
-        if getattr(self.server, "verbose", False):  # pragma: no cover
+        if self.server.verbose:  # pragma: no cover
             super().log_message(format, *args)
 
-    # -- plumbing ---------------------------------------------------------------
-
     def parse_request(self) -> bool:
-        """Parse the request line, then the head with :func:`read_head`.
+        """Parse the request line, the head and the whole body.
 
         Keeps the stdlib's semantics: HTTP/1.0 closes unless it asks for
         keep-alive, ``Connection: close`` closes after the reply,
         ``Expect: 100-continue`` is answered and a leading ``//`` in the
         path collapses to ``/``.  On failure the stdlib's ``send_error``
-        replies (400, 431, 501 or 505) and the connection closes.
+        replies (400, 431, 501 or 505) and the connection closes; a
+        target ``urlsplit`` rejects is a 400 too.  The body is read
+        here, whatever the route, so no reply leaves it in the stream
+        for the next request's parse; one over :data:`MAX_BODY_BYTES`
+        stays unread and the connection closes.
         """
         self.command = ""
         self.close_connection = True
@@ -135,16 +236,31 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.command, self.request_version = command, version
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
         try:
-            self.fields, self.content_length = read_head(self.rfile)
+            target = urlsplit(self.path)
+        except ValueError:
+            self.send_error(HTTPStatus.BAD_REQUEST,
+                            f"Bad request target ({path!r})")
+            return False
+        try:
+            fields, length = read_head(self.rfile)
         except ProtocolError as exc:
             self.send_error(exc.status, str(exc))
             return False
-        connection = self.fields.get("connection", "").lower()
+        connection = fields.get("connection", "").lower()
         self.close_connection = connection == "close" or (
             version == "HTTP/1.0" and connection != "keep-alive")
         if (version == "HTTP/1.1"
-                and self.fields.get("expect", "").lower() == "100-continue"):
-            return self.handle_expect_100()
+                and fields.get("expect", "").lower() == "100-continue"
+                and not self.handle_expect_100()):
+            return False
+        if (length or 0) > MAX_BODY_BYTES:
+            self.close_connection = True
+            self.parsed = None
+        else:
+            self.parsed = Request(
+                command, target.path.rstrip("/") or "/",
+                {k: v[-1] for k, v in parse_qs(target.query).items()},
+                self.rfile.read(length or 0))
         return True
 
     def _reply(self, status: int, payload: dict,
@@ -170,106 +286,44 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.wfile.write("\r\n".join(head).encode("latin-1")
                          + b"\r\n\r\n" + body)
 
-    def _error(self, status: int, message: str) -> None:
-        self._reply(status, {"error": message})
-
-    @property
-    def _service(self) -> ExperimentService:
-        return self.server.service
-
-    def _run_params(self) -> tuple[str, int]:
-        """(experiment id, seed) from the query string or JSON body."""
-        split = urlsplit(self.path)
-        params = {k: v[-1] for k, v in parse_qs(split.query).items()}
-        if self.command == "POST":
-            length = self.content_length or 0
-            if length > MAX_BODY_BYTES:
-                # The oversized body stays unread; keep-alive would hand
-                # it to the next request parse, so end the connection.
-                # (close_connection is per-handler-instance state — one
-                # handler per connection per thread — not shared.)
-                self.close_connection = True  # greenlint: ignore[GL14]
-                raise ConfigError(f"request body over {MAX_BODY_BYTES} bytes")
-            if length:
-                try:
-                    body = json.loads(self.rfile.read(length) or b"{}")
-                except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                    raise ConfigError(f"request body is not JSON: {exc}") from exc
-                if not isinstance(body, dict):
-                    raise ConfigError("request body must be a JSON object")
-                params.update(body)
-        experiment_id = params.get("experiment")
-        if not experiment_id or not isinstance(experiment_id, str):
-            raise ConfigError("missing 'experiment' parameter")
-        try:
-            seed = int(params.get("seed", DEFAULT_SEED))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"seed must be an integer: {exc}") from exc
-        return experiment_id, seed
-
-    def _run_reply(self) -> Reply:
-        """The /run reply, built but not yet sent."""
-        try:
-            experiment_id, seed = self._run_params()
-            served = self._service.serve(experiment_id, seed)
-        except ConfigError as exc:
-            return 400, {"error": str(exc)}, None
-        except ReproError as exc:
-            return 500, {"error": str(exc)}, None
-        return 200, _served_payload(served), None
-
-    def _handle_run(self) -> None:
-        self._reply(*self._run_reply())
-
-    # -- verbs ------------------------------------------------------------------
+    def _dispatch(self) -> None:
+        """Hand the parsed request to the server's role; send its reply."""
+        if self.parsed is None:
+            self._reply(400, {
+                "error": f"request body over {MAX_BODY_BYTES} bytes"})
+            return
+        app: App = self.server.app
+        self._reply(*app.handle(self.parsed))
 
     def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        route = urlsplit(self.path).path.rstrip("/") or "/"
-        if route == "/health":
-            self._reply(200, {"status": "ok", "version": __version__})
-        elif route == "/stats":
-            self._reply(200, self._service.stats())
-        elif route == "/status":
-            stats = self._service.stats()
-            self._reply(200, {
-                "version": __version__,
-                "experiments": list(EXPERIMENTS),
-                "jobs": self._service.config.jobs,
-                "cache_dir": self._service.config.cache_dir,
-                "uptime_s": round(stats["uptime_s"], 3),
-                "inflight": stats["inflight"],
-            })
-        elif route == "/run":
-            self._handle_run()
-        else:
-            self._error(404, f"unknown route {route!r}")
+        self._dispatch()
 
     def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        route = urlsplit(self.path).path.rstrip("/")
-        if route == "/run":
-            self._handle_run()
-        else:
-            self._error(404, f"unknown route {route!r}")
+        self._dispatch()
 
 
 class ClosingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer whose ``server_close`` severs keep-alives.
+    """The one server class: a role (:class:`App`) behind the adapter.
 
-    HTTP/1.1 keep-alive parks handler threads on idle established
-    connections; closing only the listening socket would leave a
-    "stopped" server still answering those clients.  Tracking accepted
-    sockets lets ``server_close`` shut them down too, so a stopped
-    shard looks *dead* to the router's keep-alive clients (prompt
-    fail-over) instead of serving phantom replies.
+    ``server_close`` severs keep-alives too.  HTTP/1.1 keep-alive parks
+    handler threads on idle established connections; closing only the
+    listening socket would leave a "stopped" server still answering
+    those clients.  Tracking accepted sockets lets ``server_close`` shut
+    them down too, so a stopped shard looks *dead* to the router's
+    keep-alive clients (prompt fail-over) instead of serving phantom
+    replies.
     """
 
     daemon_threads = True
     request_queue_size = 128
 
-    def __init__(self, *args: object, **kwargs: object) -> None:
+    def __init__(self, address: tuple[str, int], app: App,
+                 verbose: bool = False) -> None:
+        self.app = app
+        self.verbose = verbose
         self._conn_lock = threading.Lock()
         self._open_conns: set[socket.socket] = set()  # gl: guarded-by=_conn_lock
-        super().__init__(*args, **kwargs)
+        super().__init__(address, RequestHandler)
 
     def process_request(self, request, client_address) -> None:
         with self._conn_lock:
@@ -308,20 +362,10 @@ class ClosingHTTPServer(ThreadingHTTPServer):
         return int(self.server_address[1])
 
 
-class ExperimentHTTPServer(ClosingHTTPServer):
-    """ThreadingHTTPServer that owns an ExperimentService."""
-
-    def __init__(self, address: tuple[str, int], service: ExperimentService,
-                 verbose: bool = False,
-                 handler: type[BaseHTTPRequestHandler] | None = None) -> None:
-        super().__init__(address, handler or ServiceRequestHandler)
-        self.service = service
-        self.verbose = verbose
-
-
 def make_server(host: str = "127.0.0.1", port: int = DEFAULT_PORT,
                 service: ExperimentService | None = None,
-                verbose: bool = False) -> ExperimentHTTPServer:
+                verbose: bool = False) -> ClosingHTTPServer:
     """Bind (but do not start) the serving endpoint."""
-    return ExperimentHTTPServer((host, port), service or ExperimentService(),
-                                verbose=verbose)
+    return ClosingHTTPServer(
+        (host, port), ServiceApp(service or ExperimentService()),
+        verbose=verbose)

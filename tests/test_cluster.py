@@ -25,6 +25,7 @@ stopped.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import http.client
 import json
@@ -53,14 +54,14 @@ from repro.cluster import (
     shard_names,
 )
 from repro.cluster.router import HotKeyTracker
-from repro.cluster.shard import shard_stats_totals
+from repro.cluster.shard import Shard, make_shard_server, shard_stats_totals
 from repro.errors import ConfigError, ServiceError
 from repro.experiments.engine import cache_key, load_result, warm_lab
 from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.service import ExperimentService, ServiceConfig
 from repro.service.client import ServiceClient
-from repro.service.http import make_server, result_digest
+from repro.service.http import Request, ServiceApp, make_server, result_digest
 
 SEED = 2015
 
@@ -408,6 +409,33 @@ class TestClusterServing:
         # A request-level error is not a shard fault: no fail-over.
         assert cluster.router.stats()["router"]["failovers"] == failovers_before
 
+    @pytest.mark.parametrize("path, body", [
+        ("/run", {"experiment": "not-an-experiment", "seed": SEED}),
+        ("/invalidate", {"experiment": "not-an-experiment", "seed": SEED}),
+        ("/run", {"experiment": "fig5", "seed": 2015.7}),
+        ("/invalidate", {"experiment": "fig5", "seed": True}),
+    ])
+    def test_bad_parameters_never_leave_the_router(self, client, path, body):
+        """An unknown id or a non-integer seed: one 400, no hop, no count."""
+        def counters():
+            stats = client.stats()
+            router = stats["router"]
+            return (router["requests"], router["routed"],
+                    router["invalidations"],
+                    {name: (shard["requests"], shard["invalidations"])
+                     for name, shard in stats["shards"].items()})
+
+        before = counters()
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(path, body=body)
+        assert excinfo.value.status == 400
+        message = str(excinfo.value)
+        assert message.count("server rejected request") == 1
+        assert ("not-an-experiment" in message
+                if body["experiment"] == "not-an-experiment"
+                else "seed must be an integer" in message)
+        assert counters() == before
+
     def test_router_health_and_status_endpoints(self, cluster, client):
         health = client.health()
         assert health["status"] == "ok"
@@ -488,7 +516,7 @@ class TestAdmissionShedding:
 
         occupant = threading.Thread(target=occupy, daemon=True)
         occupant.start()
-        gate = cluster._shard_servers["shard-0"].gate
+        gate = cluster._shard_servers["shard-0"].app.gate
         assert _await(lambda: gate.depth >= 1)  # the slot is held open
 
         # A second, distinct cold key now exceeds the watermark: the
@@ -532,6 +560,17 @@ class TestServiceClient:
         with ServiceClient(host, port) as client:
             for _ in range(5):
                 client.health()
+            assert client.transport_stats()["connects"] == 1
+
+    def test_error_reply_keeps_the_connection_in_step(self):
+        """``repro serve`` has no /invalidate; its 404 still reads the body."""
+        with ExperimentService(ServiceConfig(jobs=1)) as service, \
+                _serving(make_server("127.0.0.1", 0, service)) as address, \
+                ServiceClient(*address) as client:
+            with pytest.raises(ServiceError) as excinfo:
+                client.invalidate("fig4", SEED)
+            assert excinfo.value.status == 404
+            assert client.health()["status"] == "ok"
             assert client.transport_stats()["connects"] == 1
 
     def test_dead_endpoint_fails_promptly_after_bounded_retries(self):
@@ -611,11 +650,9 @@ def _request(path: str = "/health", extra: bytes = b"",
             b"Host: test\r\n" + extra + b"\r\n")
 
 
-@pytest.fixture(scope="module")
-def serve_address():
-    """A plain ``repro serve`` endpoint (no cache, no cluster)."""
-    server = make_server("127.0.0.1", 0,
-                         ExperimentService(ServiceConfig(jobs=1)))
+@contextlib.contextmanager
+def _serving(server):
+    """Run a bound ``server`` on a thread; its (host, port)."""
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
@@ -623,12 +660,23 @@ def serve_address():
     finally:
         server.shutdown()
         server.server_close()
-        server.service.close(wait=False)
         thread.join(timeout=5)
 
 
+@pytest.fixture(scope="module")
+def serve_address():
+    """A plain ``repro serve`` endpoint (no cache, no cluster)."""
+    with ExperimentService(ServiceConfig(jobs=1)) as service, \
+            _serving(make_server("127.0.0.1", 0, service)) as address:
+        yield address
+
+
 class TestWireServer:
-    """The request side of the subset, driven over raw sockets."""
+    """The request side of the subset, driven over raw sockets.
+
+    Against ``repro serve`` here, and through the subclasses below
+    against a shard and a cluster's router: one adapter serves them all.
+    """
 
     @pytest.mark.parametrize("size, status", [(65536, 200), (65537, 431)])
     def test_header_line_limit(self, serve_address, size, status):
@@ -709,6 +757,29 @@ class TestWireServer:
         assert status == 200
         assert json.loads(reply)["status"] == "ok"
 
+    @pytest.mark.parametrize("first, status, then", [
+        (b"POST /nope", 404, "/health"),
+        (b"GET /health", 200, "/status"),
+    ])
+    def test_every_body_is_read_before_the_next_request(
+            self, serve_address, first, status, then):
+        body = json.dumps({"experiment": "fig4", "seed": SEED}).encode()
+        request = (first + b" HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        data, _ = _exchange(serve_address, request + _request(then))
+        assert [reply[0] for reply in _replies(data)] == [status, 200]
+
+    @pytest.mark.parametrize("line", [b"POST /run", b"GET /health"])
+    def test_oversized_body_gets_400_and_close(self, serve_address, line):
+        request = (line + b" HTTP/1.1\r\nHost: test\r\n"
+                   b"Content-Length: 65537\r\n\r\n")
+        data, closed = _exchange(serve_address, request, half_close=False)
+        (status, head, reply), = _replies(data)
+        assert status == 400
+        assert json.loads(reply) == {"error": "request body over 65536 bytes"}
+        assert b"Connection: close" in head
+        assert closed
+
     def test_pipelined_requests_answered_in_order(self, serve_address):
         data, _ = _exchange(serve_address,
                             _request("/health") + _request("/status"))
@@ -721,6 +792,7 @@ class TestWireServer:
         (b"GET /health HTTP/2.0", 505),
         (b"garbage", 400),
         (b"GET /health FOO/1.1", 400),
+        (b"GET http://[::1/health HTTP/1.1", 400),  # urlsplit refuses it
     ])
     def test_bad_request_lines(self, serve_address, line, status):
         data, closed = _exchange(serve_address, line + b"\r\n\r\n",
@@ -741,6 +813,29 @@ class TestWireServer:
         monkeypatch.setattr(socket.socket, "sendall", counting)
         data, _ = _exchange(serve_address, _request())
         assert writes == [len(data)]
+
+
+class TestWireServerShard(TestWireServer):
+    """The same wire checks against a shard.
+
+    The shard stands alone: a router's health probes would add writes to
+    its port while a test counts them.
+    """
+
+    @pytest.fixture(scope="class")
+    def serve_address(self):
+        with ExperimentService(ServiceConfig(jobs=1)) as service, \
+                _serving(make_shard_server("127.0.0.1", 0, "shard-wire",
+                                           service=service)) as address:
+            yield address
+
+
+class TestWireServerRouter(TestWireServer):
+    """The same wire checks against a cluster's router."""
+
+    @pytest.fixture(scope="class")
+    def serve_address(self, cluster):
+        return cluster.router_address
 
 
 class _ScriptedServer:
@@ -917,6 +1012,123 @@ class TestWireInterop:
                 assert set(got) == set(expected)
                 assert ({k: got[k] for k in self.STABLE}
                         == {k: expected[k] for k in self.STABLE})
+
+
+# -- each role's handle(), with no socket ------------------------------------------
+
+RUN_KEYS = {"experiment", "seed", "title", "text", "source", "elapsed_ms",
+            "digest"}
+SERVICE_STATS_KEYS = {"requests", "coalesced", "disk_hits", "computed",
+                      "errors", "labs_built", "labs_restored",
+                      "invalidations", "inflight", "uptime_s", "jobs",
+                      "cache_dir", "memory"}
+STATUS_KEYS = {"version", "experiments", "jobs", "cache_dir", "uptime_s",
+               "inflight"}
+
+
+def _post(route: str, **body) -> Request:
+    return Request("POST", route, body=json.dumps(body).encode())
+
+
+GET_RUN = Request("GET", "/run", {"experiment": "fig11", "seed": str(SEED)})
+POST_RUN = _post("/run", experiment="fig11", seed=SEED)
+#: A seed nothing computed: the fan-out drops nothing shared.
+INVALIDATE = _post("/invalidate", experiment="fig11", seed=SEED + 1)
+
+#: Role -> every (method, route) it answers, plus a 404: status and keys.
+ROLE_TABLES = {
+    "serve": [
+        (Request("GET", "/health"), 200, {"status", "version"}),
+        (Request("GET", "/stats"), 200, SERVICE_STATS_KEYS),
+        (Request("GET", "/status"), 200, STATUS_KEYS),
+        (GET_RUN, 200, RUN_KEYS),
+        (POST_RUN, 200, RUN_KEYS),
+        (INVALIDATE, 404, {"error"}),
+        (Request("GET", "/nope"), 404, {"error"}),
+    ],
+    "shard": [
+        (Request("GET", "/health"), 200,
+         {"status", "version", "shard", "depth"}),
+        (Request("GET", "/stats"), 200,
+         SERVICE_STATS_KEYS | {"shard", "admission"}),
+        (Request("GET", "/status"), 200, STATUS_KEYS),
+        (GET_RUN, 200, RUN_KEYS),
+        (POST_RUN, 200, RUN_KEYS),
+        (INVALIDATE, 200, {"invalidated", "experiment", "seed", "shard"}),
+        (Request("POST", "/stats"), 404, {"error"}),
+    ],
+    "router": [
+        (Request("GET", "/health"), 200,
+         {"status", "version", "role", "healthy"}),
+        (Request("GET", "/stats"), 200, {"router", "shards", "totals"}),
+        (Request("GET", "/status"), 200,
+         {"version", "role", "experiments", "shards", "replicas",
+          "hot_threshold", "healthy"}),
+        (GET_RUN, 200, RUN_KEYS | {"shard", "hot", "attempts"}),
+        (POST_RUN, 200, RUN_KEYS | {"shard", "hot", "attempts"}),
+        (INVALIDATE, 200, {"experiment", "seed", "invalidated", "shards"}),
+        (Request("GET", "/nope"), 404, {"error"}),
+    ],
+}
+
+#: Requests every role rejects with 400, and a phrase of the error.
+BAD_RUNS = [
+    (_post("/run", experiment="not-an-experiment"), "'not-an-experiment'"),
+    (_post("/run", experiment="fig11", seed=2015.7), "seed must be an integer"),
+    (_post("/run", experiment="fig11", seed=True), "seed must be an integer"),
+    (Request("GET", "/run", {"experiment": "fig11", "seed": "2015.7"}),
+     "seed must be an integer"),
+    (_post("/run", seed=SEED), "missing 'experiment'"),
+    (Request("POST", "/run", body=b"[1]"), "must be a JSON object"),
+]
+BAD_INVALIDATES = [
+    (_post("/invalidate", experiment="not-an-experiment"),
+     "'not-an-experiment'"),
+    (_post("/invalidate", experiment="fig11", seed=2015.0),
+     "seed must be an integer"),
+]
+
+
+class TestRoleReplies:
+    """Each role's ``handle``, called with no socket in front of it."""
+
+    @pytest.fixture()
+    def roles(self, cluster, cluster_dir):
+        config = ServiceConfig(jobs=1, cache_dir=cluster_dir)
+        with ExperimentService(config) as service:
+            yield {"serve": ServiceApp(service),
+                   "shard": Shard(service, AdmissionGate(), "shard-t"),
+                   "router": cluster.router}
+
+    @pytest.mark.parametrize("role", sorted(ROLE_TABLES))
+    def test_every_route_pins_its_status_and_payload_keys(self, roles, role):
+        for request, status, keys in ROLE_TABLES[role]:
+            got, payload, headers = roles[role].handle(request)
+            assert (got, set(payload), headers) == (status, keys, None), request
+
+    @pytest.mark.parametrize("role", sorted(ROLE_TABLES))
+    def test_bad_parameters_get_400_at_the_first_hop(self, roles, role):
+        cases = BAD_RUNS + (BAD_INVALIDATES if role != "serve" else [])
+        for request, phrase in cases:
+            status, payload, _headers = roles[role].handle(request)
+            assert status == 400 and phrase in payload["error"], request
+
+    def test_router_stats_carry_the_fields_perfbench_reads(self, roles):
+        _status, stats, _headers = roles["router"].handle(
+            Request("GET", "/stats"))
+        assert "hot_keys" in stats["router"]
+        for shard in stats["shards"].values():
+            assert {"labs_built", "labs_restored"} <= set(shard)
+
+    def test_shed_carries_its_retry_after_hint(self, roles):
+        gate = AdmissionGate(AdmissionPolicy(max_queue_depth=1,
+                                             retry_after_s=0.25))
+        assert gate.admit()
+        shard = Shard(roles["shard"].service, gate, "shard-t")
+        status, payload, headers = shard.handle(POST_RUN)
+        assert (status, set(payload), headers) == (
+            503, {"error", "shard", "retry_after_s"}, {"Retry-After": "0.25"})
+        assert gate.stats()["shed"] == 1 and gate.depth == 1
 
 
 class TestSpawnedCluster:

@@ -5,10 +5,13 @@ it.  Any new unit mix-up, stray ``raise ValueError``, unseeded RNG, or
 positional quantity call fails this test, not a code review.
 """
 
+import ast
 import json
 import os
+import shutil
 
 import numpy as np
+import pytest
 
 from repro.cli import main
 from repro.lint import RULES, lint_paths
@@ -30,17 +33,63 @@ class TestSelfLint:
     def test_intentional_suppressions_are_counted(self):
         # powercap's float-tolerance, the u16 flag mask in storage
         # format, the serving layer's three wall-clock latency reads,
-        # the HTTP client's two retry-backoff sleeps, the handler's
-        # thread-confined close_connection write, and the two
+        # the HTTP client's two retry-backoff sleeps, and the two
         # content-keyed memo reads (GL18: the identity pins and the
         # frame cache, both keyed on content, so value-deterministic)
         # are deliberate; they must stay visible as suppressions, not
         # vanish.
         result = lint_paths([SRC])
-        assert result.suppressed == 10
+        assert result.suppressed == 9
 
     def test_all_eighteen_rule_families_registered(self):
         assert set(RULES) == {f"GL{i}" for i in range(1, 19)}
+
+
+def _inject_raise(path, qualname: str) -> None:
+    """Make method ``qualname`` (``Class.method``) in ``path`` raise first."""
+    source = path.read_text()
+    cls_name, method = qualname.split(".")
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == cls_name)
+    func = next(node for node in cls.body
+                if isinstance(node, ast.FunctionDef) and node.name == method)
+    first = func.body[1] if ast.get_docstring(func) else func.body[0]
+    lines = source.splitlines(keepends=True)
+    lines.insert(first.lineno - 1,
+                 " " * first.col_offset + 'raise ValueError("injected")\n')
+    path.write_text("".join(lines))
+
+
+class TestRequestPathReach:
+    """GL16 follows every request from the adapter into each role's body.
+
+    Roles are plain objects behind one ``app.handle(request)`` call with
+    a typed receiver.  A role that overrode another role's method, or
+    reached its collaborators through an untyped property, would hide
+    these paths from the call graph.
+    """
+
+    @pytest.mark.parametrize("module, qualname", [
+        ("cluster/admission.py", "AdmissionGate.admit"),
+        ("cluster/router.py", "Router.route"),
+        ("cluster/router.py", "Router.invalidate"),
+        ("service/core.py", "ExperimentService.invalidate"),
+    ])
+    def test_injected_error_reaches_the_adapter(self, tmp_path, module,
+                                                qualname):
+        for package in ("service", "cluster"):
+            shutil.copytree(os.path.join(SRC, package), tmp_path / package)
+        shutil.copy(os.path.join(SRC, "errors.py"), tmp_path)
+        _inject_raise(tmp_path / module, qualname)
+        result = lint_paths([str(tmp_path)], select=["GL16"])
+        roots = {root for f in result.findings
+                 for root in ("do_GET", "do_POST")
+                 if f.path.endswith(os.path.join("service", "http.py"))
+                 and f"entry point RequestHandler.{root} " in f.message
+                 and "ValueError can escape" in f.message
+                 and f"raised in {qualname} " in f.message}
+        assert roots == {"do_GET", "do_POST"}, [
+            f.format() for f in result.findings]
 
 
 class TestLintCache:
