@@ -186,10 +186,10 @@ def _zipf_stream(rng: random.Random,
     """The mixed workload: zipf-weighted hot traffic + one-shot cold keys.
 
     Hot samples follow a zipf(``ZIPF_ALPHA``) popularity curve over the
-    cached keys (the head gets hot enough to trigger replication); each
-    cold key appears exactly once, shuffled uniformly into the stream,
-    so misses arrive *during* the hot traffic rather than as a separate
-    phase.
+    cached keys (the head gets hot enough for the router to answer it
+    itself); each cold key appears exactly once, shuffled uniformly into
+    the stream, so misses arrive *during* the hot traffic rather than as
+    a separate phase.
     """
     weights = [1.0 / (rank + 1) ** ZIPF_ALPHA
                for rank in range(len(hot_keys))]
@@ -321,7 +321,7 @@ def test_bench_serve(output_dir):
             warm_lab(seed, cluster_dir)
         for shards in CLUSTER_SIZES:
             _clear_results(cluster_dir)
-            config = ClusterConfig(shards=shards, replicas=2, jobs=2,
+            config = ClusterConfig(shards=shards, jobs=2,
                                    cache_dir=cluster_dir, hot_threshold=4)
             with SpawnedCluster(config) as cluster:
                 host, port = cluster.serve_in_background()

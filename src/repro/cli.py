@@ -114,9 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "a consistent-hash router")
     cluster.add_argument("--shards", type=int, default=2, metavar="N",
                          help="shard worker processes (default: %(default)s)")
-    cluster.add_argument("--replicas", type=int, default=2, metavar="R",
-                         help="serving copies of a hot key, including its "
-                              "owner (default: %(default)s)")
     cluster.add_argument("--host", default="127.0.0.1",
                          help="bind address (default: %(default)s)")
     cluster.add_argument("--port", type=int, default=None, metavar="P",
@@ -126,13 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="compute workers per shard "
                               "(default: %(default)s)")
     cluster.add_argument("--cache", metavar="DIR", default=None,
-                         help="disk tier shared by every shard; makes "
-                              "hot-key replication a disk promotion "
-                              "instead of a recompute")
+                         help="disk tier and Lab snapshots shared by "
+                              "every shard; a key that fails over is a "
+                              "disk hit instead of a recompute")
     cluster.add_argument("--hot-threshold", type=int, default=None,
                          metavar="N", dest="hot_threshold",
-                         help="cached hits before a key is replicated "
-                              "(default: 8)")
+                         help="cached hits before the router holds a "
+                              "key's reply and answers it with no shard "
+                              "hop (default: 8)")
     cluster.add_argument("--queue-depth", type=int, default=None,
                          metavar="N", dest="queue_depth",
                          help="per-shard admission watermark; above it "
@@ -336,9 +334,8 @@ def _run_cluster(args) -> int:
     _interruptible()
 
     port = DEFAULT_PORT if args.port is None else args.port
-    config_kwargs = {"shards": args.shards, "replicas": args.replicas,
-                     "jobs": args.jobs, "cache_dir": args.cache,
-                     "host": args.host}
+    config_kwargs = {"shards": args.shards, "jobs": args.jobs,
+                     "cache_dir": args.cache, "host": args.host}
     if args.hot_threshold is not None:
         config_kwargs["hot_threshold"] = args.hot_threshold
     if args.queue_depth is not None:
@@ -359,8 +356,7 @@ def _run_cluster(args) -> int:
         port = cluster.router_address[1]
         print(f"routing {len(EXPERIMENTS)} experiments on "
               f"http://{args.host}:{port} -> {args.shards} shard(s) "
-              f"[{shard_list}] (replicas={args.replicas}, "
-              f"jobs={args.jobs}, "
+              f"[{shard_list}] (jobs={args.jobs}, "
               f"cache={args.cache or 'per-shard memory only'})")
         cluster.serve_forever()
     except KeyboardInterrupt:

@@ -4,8 +4,8 @@ The router hashes the engine's sha256 :func:`~repro.experiments.engine.cache_key
 onto a ring of virtual nodes (``vnodes`` points per shard, each placed
 by sha256 of ``"{shard}#{replica}"``).  A key's **preference list** is
 the sequence of distinct shards met walking clockwise from the key's
-point — the first entry owns the key, the rest are its fail-over /
-replication targets in a fixed, deterministic order.
+point — the first entry owns the key, the rest are its fail-over
+targets in a fixed, deterministic order.
 
 Consistent hashing is what makes the cluster elastic *and* cache-warm:
 removing a shard (crash, drain) remaps only the keys that shard owned —

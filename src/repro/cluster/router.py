@@ -16,12 +16,12 @@ serve`` endpoint — clients cannot tell a cluster from one node.
 * **retries** — forwarding re-uses
   :class:`~repro.faults.retry.RetryPolicy`'s bounded
   deterministic-backoff schedule across the fail-over candidates;
-* **hot-key replication** — keys whose *cached* hit count crosses
-  ``hot_threshold`` are promoted: requests rotate across R replicas
-  (ring successors), which warm themselves from the shared disk tier,
-  so one scorching key stops serializing on a single shard.  Demoted or
-  invalidated keys have their replica copies dropped (coherent
-  invalidation via each shard's ``/invalidate``);
+* **one-hop hot reads** — keys whose *cached* hit count crosses
+  ``hot_threshold`` are promoted: the router holds the key's ``/run``
+  reply on its hot-key tracker and answers later reads itself, with no
+  shard hop.  Eviction from the tracker's LRU bound (a demotion) and
+  ``/invalidate`` drop the held reply; ``/invalidate`` first fans out to
+  every shard, so once it returns no tier answers the key from memory;
 * **admission propagation** — a shard's 503 shed is passed through to
   the client with its ``Retry-After`` hint rather than spilled onto
   other shards (overload must reach the client as back-pressure, not
@@ -52,9 +52,9 @@ from repro.version import __version__
 #: Forwarding schedule: up to three candidates, 20 ms / 40 ms pauses.
 DEFAULT_FORWARD_RETRY = RetryPolicy(max_attempts=3, backoff_base_s=0.02,
                                     backoff_factor=2.0, jitter_fraction=0.0)
-#: Promotion threshold: cached hits before a key is replicated.
+#: Promotion threshold: cached hits before the router holds a key's reply.
 DEFAULT_HOT_THRESHOLD = 8
-#: Bound on tracked keys; evicting a hot key demotes it coherently.
+#: Bound on tracked keys, and so on held replies; eviction demotes.
 DEFAULT_HOT_KEYS_MAX = KiB
 
 
@@ -69,9 +69,8 @@ class ShardInfo:
 
 @dataclass(frozen=True)
 class RouterConfig:
-    """Routing, replication, and health knobs of the front router."""
+    """Routing, promotion, and health knobs of the front router."""
 
-    replicas: int = 2
     hot_threshold: int = DEFAULT_HOT_THRESHOLD
     hot_keys_max: int = DEFAULT_HOT_KEYS_MAX
     health_interval_s: float = 0.5
@@ -81,8 +80,6 @@ class RouterConfig:
     forward_retry: RetryPolicy = field(default=DEFAULT_FORWARD_RETRY)
 
     def __post_init__(self) -> None:
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
         if self.hot_threshold < 1:
             raise ConfigError(
                 f"hot_threshold must be >= 1, got {self.hot_threshold}")
@@ -98,23 +95,27 @@ class RouterConfig:
 class _KeyHeat:
     """Mutable per-key promotion state (guarded by the tracker's lock)."""
 
-    __slots__ = ("experiment_id", "seed", "cached_hits", "rotation")
+    __slots__ = ("cached_hits", "reply")
 
-    def __init__(self, experiment_id: str, seed: int) -> None:
-        self.experiment_id = experiment_id
-        self.seed = seed
+    def __init__(self) -> None:
         self.cached_hits = 0
-        self.rotation = 0
+        self.reply: dict | None = None
 
 
 class HotKeyTracker:
-    """LRU-bounded per-key hit accounting driving promotion/demotion.
+    """LRU-bounded per-key hit accounting and the replies of hot keys.
 
     Only *cached* replies (memory/disk tier) heat a key — a compute or
     a coalesced wait never does.  That rule keeps a cold-key storm from
     promoting mid-flight: until the first result exists somewhere, every
     request routes to the key's single owner, whose single-flight layer
     guarantees exactly one compute cluster-wide.
+
+    A hot key's held reply lives on its :class:`_KeyHeat`, so the held
+    set is the hot set: bounded by ``max_keys``, dropped when the LRU
+    evicts the key and when :meth:`reset` forgets it.  Both replace the
+    key's ``_KeyHeat`` object, which is the token :meth:`record` checks:
+    a reply forwarded before either can never be held after it.
     """
 
     def __init__(self, threshold: int = DEFAULT_HOT_THRESHOLD,
@@ -124,50 +125,58 @@ class HotKeyTracker:
         self._lock = threading.Lock()
         self._heat: OrderedDict[str, _KeyHeat] = OrderedDict()  # gl: guarded-by=_lock
 
-    def is_hot(self, key: str) -> bool:
+    def lookup(self, key: str) -> tuple[dict | None, _KeyHeat | None]:
+        """``(held reply, token)`` for one read of ``key``.
+
+        A held reply counts as a cached hit and refreshes the key's LRU
+        recency.  Otherwise the reply is None and the token is the key's
+        current state (None for an untracked key), to hand back to
+        :meth:`record` with the forwarded reply.
+        """
         with self._lock:
             heat = self._heat.get(key)
-            return heat is not None and heat.cached_hits >= self.threshold
+            if heat is None or heat.reply is None:
+                return None, heat
+            heat.cached_hits += 1
+            self._heat.move_to_end(key)
+            return heat.reply, heat
 
-    def next_slot(self, key: str) -> int:
-        """Round-robin counter spreading a hot key over its replicas."""
-        with self._lock:
-            heat = self._heat.get(key)
-            if heat is None:
-                return 0
-            heat.rotation += 1
-            return heat.rotation
+    def record(self, key: str, token: _KeyHeat | None,
+               held: dict | None) -> tuple[bool, bool, int]:
+        """Account one forwarded reply; ``(hot, promoted, demoted)``.
 
-    def record(self, key: str, experiment_id: str, seed: int,
-               cached: bool) -> tuple[bool, list[tuple[str, int]]]:
-        """Account one reply.
-
-        Returns ``(promoted, demoted)``: whether this hit crossed the
-        promotion threshold, and the (experiment, seed) pairs of any
-        hot keys evicted by the LRU bound (their replicas must be
-        invalidated to stay coherent).
+        ``held`` is the copy to hold of a cached reply, and None for a
+        compute or a coalesced wait.  It is held when the key is hot
+        after this hit and still has the state ``token`` saw before the
+        forward.  ``demoted`` counts the hot keys the LRU bound evicted.
         """
         with self._lock:
             heat = self._heat.get(key)
             if heat is None:
-                heat = self._heat[key] = _KeyHeat(experiment_id, seed)
+                heat = self._heat[key] = _KeyHeat()
             else:
                 self._heat.move_to_end(key)
             promoted = False
-            if cached:
+            if held is not None:
                 heat.cached_hits += 1
                 promoted = heat.cached_hits == self.threshold
-            demoted: list[tuple[str, int]] = []
+            hot = heat.cached_hits >= self.threshold
+            if hot and held is not None and heat is token:
+                heat.reply = held
+            demoted = 0
             while len(self._heat) > self.max_keys:
                 _, evicted = self._heat.popitem(last=False)
-                if evicted.cached_hits >= self.threshold:
-                    demoted.append((evicted.experiment_id, evicted.seed))
-            return promoted, demoted
+                demoted += evicted.cached_hits >= self.threshold
+            return hot, promoted, demoted
 
-    def reset(self, key: str) -> None:
-        """Forget a key (after an explicit invalidation)."""
+    def reset(self, key: str) -> bool:
+        """Forget a key (after an explicit invalidation).
+
+        True when that dropped a held reply.
+        """
         with self._lock:
-            self._heat.pop(key, None)
+            heat = self._heat.pop(key, None)
+            return heat is not None and heat.reply is not None
 
     def hot_count(self) -> int:
         with self._lock:
@@ -176,7 +185,7 @@ class HotKeyTracker:
 
 
 class Router:
-    """Route, replicate, and shed across a fixed set of shards."""
+    """Route, hold hot replies, and shed across a fixed set of shards."""
 
     def __init__(self, shards: list[ShardInfo],
                  config: RouterConfig | None = None) -> None:
@@ -296,38 +305,30 @@ class Router:
 
     # -- routing ------------------------------------------------------------------
 
-    def _candidates(self, key: str, hot: bool) -> list[str]:
-        """Forwarding order: owner (or rotated replica set), then successors."""
-        prefs = self._ring.preference(key, alive=self._alive())
-        if not prefs:
-            return []
-        if hot and self.config.replicas > 1:
-            k = min(self.config.replicas, len(prefs))
-            slot = self._tracker.next_slot(key) % k
-            return prefs[slot:k] + prefs[:slot] + prefs[k:]
-        return prefs
-
     # gl: idempotent — _sheds/_failovers deliberately count per-attempt
     # events; the forwarded /run itself is content-addressed on the shard.
     def route(self, experiment_id: str, seed: int = DEFAULT_SEED) -> dict:
-        """Forward one /run to the right shard; the enriched reply dict.
+        """Answer one /run: a hot key's held reply, else forward it.
 
-        Raises :class:`~repro.errors.ServiceError` — with ``status=503``
-        and a ``Retry-After`` hint when the target shed, with
-        ``status=None`` when every candidate was unreachable.
+        A held reply is answered here, even when its owner is dead.
+        Otherwise the key goes to its owner shard, failing over to ring
+        successors.  Raises :class:`~repro.errors.ServiceError` — with
+        ``status=503`` and a ``Retry-After`` hint when the target shed,
+        with ``status=None`` when every candidate was unreachable.
         """
         key = cache_key(experiment_id, seed)
         with self._lock:
             self._requests += 1
-        hot = self._tracker.is_hot(key)
-        candidates = self._candidates(key, hot)
+        held, token = self._tracker.lookup(key)
+        if held is not None:
+            return dict(held)
+        candidates = self._ring.preference(key, alive=self._alive())
         if not candidates:
             with self._lock:
                 self._no_shard_errors += 1
             raise ServiceError("no healthy shards")
         policy = self.config.forward_retry
-        n_replicas = min(self.config.replicas, len(candidates)) if hot else 1
-        attempts = min(len(candidates), max(policy.max_attempts, n_replicas))
+        attempts = min(len(candidates), policy.max_attempts)
         last_exc: ServiceError | None = None
         for attempt, name in enumerate(candidates[:attempts], start=1):
             try:
@@ -335,14 +336,11 @@ class Router:
             except ServiceError as exc:
                 last_exc = exc
                 if exc.status == 503:
-                    # The shard shed under load.  Another *replica* of a
-                    # hot key may absorb the request; spilling a cold
-                    # key onto non-owners would amplify the overload,
-                    # so back-pressure propagates to the client instead.
+                    # The shard shed under load.  Spilling the key onto
+                    # non-owners would amplify the overload, so
+                    # back-pressure propagates to the client instead.
                     with self._lock:
                         self._sheds += 1
-                    if attempt < n_replicas:
-                        continue
                     raise
                 if exc.status is not None:
                     # The shard answered with a request-level error
@@ -355,87 +353,47 @@ class Router:
                     # Deterministic pause before the next candidate.
                     time.sleep(policy.backoff_s(attempt, jitter_u=0.5))
                 continue
-            return self._account(reply, key, experiment_id, seed, name,
-                                 hot, attempt)
+            return self._account(reply, key, token, name, attempt)
         raise ServiceError(
             f"no shard could serve {experiment_id!r} "
             f"(tried {attempts} candidate(s)): {last_exc}") from last_exc
 
     # gl: idempotent — runs once, on the success path that exits the
     # failover loop; its counters never see a retried attempt.
-    def _account(self, reply: dict, key: str, experiment_id: str, seed: int,
-                 shard: str, hot: bool, attempts: int) -> dict:
-        """Book-keep a successful reply; enrich it with routing fields."""
+    def _account(self, reply: dict, key: str, token: _KeyHeat | None,
+                 shard: str, attempts: int) -> dict:
+        """Book-keep a forwarded reply; enrich it with routing fields.
+
+        A cached reply that makes or keeps its key hot is held as the
+        router's own answer to later reads: ``source`` memory, one
+        attempt, and the shard that served it.
+        """
         with self._lock:
             self._routed[shard] += 1
-        cached = reply.get("source") in ("memory", "disk")
-        promoted, demoted = self._tracker.record(key, experiment_id, seed,
-                                                 cached)
-        if promoted:
+        reply = dict(reply, shard=shard)
+        held = None
+        if reply.get("source") in ("memory", "disk"):
+            held = dict(reply, source="memory", hot=True, attempts=1)
+        hot, promoted, demoted = self._tracker.record(key, token, held)
+        if promoted or demoted:
             with self._lock:
-                self._promotions += 1
-            self._replicate(key, experiment_id, seed)
-        if demoted:
-            with self._lock:
-                self._demotions += len(demoted)
-            self._demote(demoted)
-        reply = dict(reply)
-        reply["shard"] = shard
-        reply["hot"] = hot or promoted
+                self._promotions += promoted
+                self._demotions += demoted
+        reply["hot"] = hot
         reply["attempts"] = attempts
         return reply
 
-    # -- replication & invalidation -----------------------------------------------
-
-    def _replica_names(self, key: str) -> list[str]:
-        """The hot key's replica set beyond its owner (live shards)."""
-        prefs = self._ring.preference(key, alive=self._alive())
-        return prefs[1:min(self.config.replicas, len(prefs))]
-
-    def _replicate(self, key: str, experiment_id: str, seed: int) -> None:
-        """Warm a freshly promoted key onto its replicas (background).
-
-        Each replica pulls the result through its own service — a disk
-        hit when the shards share a cache directory, a byte-identical
-        recompute otherwise — and promotes it into its memory tier.
-        """
-        replicas = self._replica_names(key)
-        if not replicas:
-            return
-
-        def warm() -> None:
-            for name in replicas:
-                try:
-                    self._client(name).run(experiment_id, seed)
-                except ServiceError:
-                    # Best-effort: an unwarmed replica just computes (or
-                    # disk-hits) lazily on its first routed request.
-                    pass
-
-        threading.Thread(target=warm, name="repro-router-replicate",
-                         daemon=True).start()
-
-    def _demote(self, demoted: list[tuple[str, int]]) -> None:
-        """Drop replica copies of keys that fell out of the hot set."""
-        def drop() -> None:
-            for experiment_id, seed in demoted:
-                key = cache_key(experiment_id, seed)
-                for name in self._replica_names(key):
-                    try:
-                        self._client(name).invalidate(experiment_id, seed)
-                    except ServiceError:
-                        pass
-
-        threading.Thread(target=drop, name="repro-router-demote",
-                         daemon=True).start()
+    # -- invalidation -------------------------------------------------------------
 
     def invalidate(self, experiment_id: str,
                    seed: int = DEFAULT_SEED) -> dict:
         """Coherently drop one key cluster-wide.
 
-        Fans ``/invalidate`` out to every live shard (covering owner,
-        replicas, and the shared disk entry) and resets the key's heat
-        so it re-earns promotion.
+        Fans ``/invalidate`` out to every live shard (covering every
+        memory tier and the shared disk entry), then resets the key's
+        heat, dropping its held reply, so it re-earns promotion.  In
+        that order, a read that races the fan-out cannot leave a reply
+        held once this returns.
         """
         key = cache_key(experiment_id, seed)
         outcomes: dict[str, bool] = {}
@@ -446,13 +404,13 @@ class Router:
                 outcomes[name] = False
             else:
                 outcomes[name] = bool(reply.get("invalidated"))
-        self._tracker.reset(key)
+        dropped = self._tracker.reset(key)
         with self._lock:
             self._invalidations += 1
         return {
             "experiment": experiment_id,
             "seed": seed,
-            "invalidated": any(outcomes.values()),
+            "invalidated": dropped or any(outcomes.values()),
             "shards": outcomes,
         }
 
@@ -483,7 +441,6 @@ class Router:
                 "no_shard_errors": self._no_shard_errors,
                 "healthy": dict(self._healthy),
                 "hot_keys": self._tracker.hot_count(),
-                "replicas": self.config.replicas,
                 "hot_threshold": self.config.hot_threshold,
                 "uptime_s": time.monotonic() - self._started_monotonic,
             }
@@ -534,7 +491,6 @@ class Router:
                     "experiments": list(EXPERIMENTS),
                     "shards": [{"name": s.name, "host": s.host, "port": s.port}
                                for s in self.shards],
-                    "replicas": self.config.replicas,
                     "hot_threshold": self.config.hot_threshold,
                     "healthy": self.healthy(),
                 }, None

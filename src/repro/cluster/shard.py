@@ -13,14 +13,14 @@ cluster-facing additions:
   watermark the shard sheds with ``503`` and a ``Retry-After`` hint
   instead of queueing unboundedly;
 * **coherent invalidation** — ``POST /invalidate`` drops one key from
-  both cache tiers, which the router fans out cluster-wide so
-  replicated hot keys never serve a dropped entry.
+  both cache tiers, which the router fans out cluster-wide before it
+  drops its own held reply, so no tier serves a dropped entry.
 
 Shards sharing one ``cache_dir`` share the engine's content-addressed
 disk store (atomic tmp+rename writes make this multi-process safe) and
-its warm-Lab snapshots, so a hot key replicated to R shards is computed
-**once** cluster-wide: the owner computes and stores, replicas promote
-the disk entry into their memory tiers.
+its warm-Lab snapshots, so a key is computed **once** cluster-wide:
+the owner computes and stores, and a shard the key fails over to
+promotes the disk entry into its memory tier.
 
 :func:`run_shard` is the subprocess entry ``repro cluster`` forks one
 process per shard through — separate processes, not threads, so cold

@@ -1,6 +1,6 @@
 """Cluster lifecycles: wire shards and a router into one serving tier.
 
-Two deployment shapes share all the routing/replication machinery:
+Two deployment shapes share all the routing machinery:
 
 * :class:`LocalCluster` hosts every shard server on a thread inside the
   current process.  Requests still cross real loopback HTTP, so tests
@@ -48,7 +48,6 @@ class ClusterConfig:
     """One knob set for a whole cluster (CLI surface of ``repro cluster``)."""
 
     shards: int = 2
-    replicas: int = 2
     jobs: int = 2
     cache_dir: str | None = None
     hot_threshold: int = DEFAULT_HOT_THRESHOLD
@@ -59,8 +58,11 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ConfigError(f"shards must be >= 1, got {self.shards}")
-        if self.replicas < 1:
-            raise ConfigError(f"replicas must be >= 1, got {self.replicas}")
+        # Every other knob is checked by the config it builds: build
+        # each once here, so a bad value fails before a start forks.
+        self.service_config()
+        self.admission_policy()
+        self.router_config()
 
     def service_config(self) -> ServiceConfig:
         return ServiceConfig(jobs=self.jobs, cache_dir=self.cache_dir)
@@ -70,8 +72,7 @@ class ClusterConfig:
                                retry_after_s=self.retry_after_s)
 
     def router_config(self) -> RouterConfig:
-        return RouterConfig(replicas=self.replicas,
-                            hot_threshold=self.hot_threshold)
+        return RouterConfig(hot_threshold=self.hot_threshold)
 
 
 class LocalCluster:
@@ -231,24 +232,24 @@ class SpawnedCluster:
                     raise ServiceError(
                         f"shard {name} failed: {report['error']}")
                 self._infos.append(ShardInfo(name, host, report["port"]))
+            self.router = Router(self._infos, self.config.router_config())
+            self._wait_until_healthy()
+            self.router.start_health_checks()
+            self.router_server = make_router_server(host, self._router_port,
+                                                    self.router,
+                                                    verbose=self._verbose)
         except Exception:
-            # Partial start: close every pipe and terminate the shard
-            # processes that did come up before propagating the failure.
-            for _name, conn in pending:
-                conn.close()
+            # Partial start (a shard that never reported, a router port
+            # already taken): terminate the shard processes that did
+            # come up before propagating the failure.
             self.stop()
             raise
         finally:
-            # Only the shards read the lifeline.
+            # Only the shards read the lifeline, and no port report is
+            # read after this point.
             lifeline.close()
-        for _name, conn in pending:
-            conn.close()
-        self.router = Router(self._infos, self.config.router_config())
-        self._wait_until_healthy()
-        self.router.start_health_checks()
-        self.router_server = make_router_server(host, self._router_port,
-                                                self.router,
-                                                verbose=self._verbose)
+            for _name, conn in pending:
+                conn.close()
         return self
 
     def _wait_until_healthy(self) -> None:
@@ -260,7 +261,6 @@ class SpawnedCluster:
                 return
             if time.monotonic() > deadline:
                 dead = sorted(n for n, ok in healthy.items() if not ok)
-                self.stop()
                 raise ServiceError(f"shards never became healthy: {dead}")
             time.sleep(0.05)
 

@@ -266,7 +266,7 @@ class ExperimentService:
         Requests already in flight for the key are unaffected (they
         complete and may re-populate the tiers); the next request after
         an invalidation recomputes.  The cluster router fans this out to
-        every shard so replicated hot keys stay coherent.
+        every shard, so no shard keeps serving a dropped key.
         """
         get_experiment(experiment_id)  # fail fast on unknown ids
         key = cache_key(experiment_id, seed)

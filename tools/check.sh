@@ -101,7 +101,7 @@ assert stats["coalesced"] + stats["memory"]["hits"] == n_threads, stats
 assert repeat.source == "memory", repeat
 PY
 
-echo "== cluster smoke (router + shards, byte-identity) =="
+echo "== cluster smoke (router + shards, byte-identity, one-hop hot read) =="
 python - <<'PY'
 import tempfile
 
@@ -113,24 +113,39 @@ from repro.service.http import result_digest
 from repro.experiments.figures import Lab
 from repro.experiments.registry import run_experiment
 
+
+def shard_requests(stats):
+    return {name: shard["requests"] for name, shard in stats["shards"].items()}
+
+
 with tempfile.TemporaryDirectory() as cache_dir:
     warm_lab(DEFAULT_SEED, cache_dir)
-    config = ClusterConfig(shards=2, replicas=1, jobs=1, cache_dir=cache_dir)
+    # Threshold 1: the repeat's cached hit promotes fig4 and the router
+    # holds that reply, so the third read must make no shard hop.
+    config = ClusterConfig(shards=2, jobs=1, cache_dir=cache_dir,
+                           hot_threshold=1)
     with LocalCluster(config) as cluster:
         client = ServiceClient(*cluster.router_address)
         reply = client.run("fig4", DEFAULT_SEED)
         repeat = client.run("fig4", DEFAULT_SEED)
         stats = client.stats()
+        third = client.run("fig4", DEFAULT_SEED)
+        after = client.stats()
         client.close()
 
 expected = result_digest(run_experiment("fig4", Lab(seed=DEFAULT_SEED)))
 print(f"cluster: shards={len(stats['shards'])} "
       f"first={reply['source']} repeat={repeat['source']} "
-      f"computed={stats['totals']['computed']}")
+      f"computed={stats['totals']['computed']} "
+      f"shard requests before/after third={shard_requests(stats)}/"
+      f"{shard_requests(after)}")
 assert reply["digest"] == expected, (reply["digest"], expected)
 assert repeat["digest"] == expected
+assert third["digest"] == expected
 assert stats["totals"]["computed"] == 1, stats["totals"]
 assert repeat["source"] == "memory", repeat["source"]
+assert (third["source"], third["attempts"]) == ("memory", 1), third
+assert shard_requests(after) == shard_requests(stats), "third read hopped"
 PY
 
 echo "== cli cluster smoke (repro cluster + repro query processes, ^C, TERM) =="
