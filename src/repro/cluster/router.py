@@ -9,7 +9,10 @@ serve`` endpoint — clients cannot tell a cluster from one node.
 * **placement** — the engine's sha256
   :func:`~repro.experiments.engine.cache_key` is consistent-hashed onto
   the shard ring (:class:`~repro.cluster.ring.HashRing`), so each key
-  has one warm home and cache hit rates survive membership changes;
+  has one warm home and cache hit rates survive membership changes.
+  Only a forwarded read hashes: the hot-key tracker is keyed on
+  ``(experiment_id, seed)``, which within one process names the same
+  key;
 * **health** — a background prober marks shards dead/alive; forwarding
   failures mark a shard dead immediately and the ring walks route
   around it (keys fail over to their ring successor);
@@ -18,10 +21,13 @@ serve`` endpoint — clients cannot tell a cluster from one node.
   deterministic-backoff schedule across the fail-over candidates;
 * **one-hop hot reads** — keys whose *cached* hit count crosses
   ``hot_threshold`` are promoted: the router holds the key's ``/run``
-  reply on its hot-key tracker and answers later reads itself, with no
-  shard hop.  Eviction from the tracker's LRU bound (a demotion) and
-  ``/invalidate`` drop the held reply; ``/invalidate`` first fans out to
-  every shard, so once it returns no tier answers the key from memory;
+  reply on its hot-key tracker, as the body bytes the adapter writes,
+  encoded once, and answers later reads itself with those bytes: no
+  shard hop, no JSON encoding, no hashing.  Eviction from the tracker's
+  LRU bound (a demotion) and ``/invalidate`` drop the held reply;
+  ``/invalidate`` first fans out to every shard, also to those the
+  health map marks dead, so once it returns no tier answers the key
+  from memory;
 * **admission propagation** — a shard's 503 shed is passed through to
   the client with its ``Retry-After`` hint rather than spilled onto
   other shards (overload must reach the client as back-pressure, not
@@ -35,6 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 from repro.cluster.ring import HashRing
@@ -45,7 +52,13 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.rng import DEFAULT_SEED
 from repro.service.client import ServiceClient
-from repro.service.http import ClosingHTTPServer, Reply, Request, run_params
+from repro.service.http import (
+    ClosingHTTPServer,
+    Reply,
+    Request,
+    json_body,
+    run_params,
+)
 from repro.units import KiB
 from repro.version import __version__
 
@@ -99,7 +112,8 @@ class _KeyHeat:
 
     def __init__(self) -> None:
         self.cached_hits = 0
-        self.reply: dict | None = None
+        #: The held ``/run`` body, encoded once by :func:`json_body`.
+        self.reply: bytes | None = None
 
 
 class HotKeyTracker:
@@ -115,7 +129,8 @@ class HotKeyTracker:
     set is the hot set: bounded by ``max_keys``, dropped when the LRU
     evicts the key and when :meth:`reset` forgets it.  Both replace the
     key's ``_KeyHeat`` object, which is the token :meth:`record` checks:
-    a reply forwarded before either can never be held after it.
+    a reply forwarded before either can never be held after it.  A held
+    reply is an encoded body (``bytes``), so every read can share it.
     """
 
     def __init__(self, threshold: int = DEFAULT_HOT_THRESHOLD,
@@ -123,9 +138,9 @@ class HotKeyTracker:
         self.threshold = threshold
         self.max_keys = max_keys
         self._lock = threading.Lock()
-        self._heat: OrderedDict[str, _KeyHeat] = OrderedDict()  # gl: guarded-by=_lock
+        self._heat: OrderedDict[Hashable, _KeyHeat] = OrderedDict()  # gl: guarded-by=_lock
 
-    def lookup(self, key: str) -> tuple[dict | None, _KeyHeat | None]:
+    def lookup(self, key: Hashable) -> tuple[bytes | None, _KeyHeat | None]:
         """``(held reply, token)`` for one read of ``key``.
 
         A held reply counts as a cached hit and refreshes the key's LRU
@@ -141,12 +156,12 @@ class HotKeyTracker:
             self._heat.move_to_end(key)
             return heat.reply, heat
 
-    def record(self, key: str, token: _KeyHeat | None,
-               held: dict | None) -> tuple[bool, bool, int]:
+    def record(self, key: Hashable, token: _KeyHeat | None,
+               held: bytes | None) -> tuple[bool, bool, int]:
         """Account one forwarded reply; ``(hot, promoted, demoted)``.
 
-        ``held`` is the copy to hold of a cached reply, and None for a
-        compute or a coalesced wait.  It is held when the key is hot
+        ``held`` is the encoded body to hold of a cached reply, and None
+        for a compute or a coalesced wait.  It is held when the key is hot
         after this hit and still has the state ``token`` saw before the
         forward.  ``demoted`` counts the hot keys the LRU bound evicted.
         """
@@ -169,7 +184,7 @@ class HotKeyTracker:
                 demoted += evicted.cached_hits >= self.threshold
             return hot, promoted, demoted
 
-    def reset(self, key: str) -> bool:
+    def reset(self, key: Hashable) -> bool:
         """Forget a key (after an explicit invalidation).
 
         True when that dropped a held reply.
@@ -307,21 +322,24 @@ class Router:
 
     # gl: idempotent — _sheds/_failovers deliberately count per-attempt
     # events; the forwarded /run itself is content-addressed on the shard.
-    def route(self, experiment_id: str, seed: int = DEFAULT_SEED) -> dict:
-        """Answer one /run: a hot key's held reply, else forward it.
+    def route(self, experiment_id: str,
+              seed: int = DEFAULT_SEED) -> dict | bytes:
+        """Answer one /run: a hot key's held body, else forward it.
 
-        A held reply is answered here, even when its owner is dead.
-        Otherwise the key goes to its owner shard, failing over to ring
-        successors.  Raises :class:`~repro.errors.ServiceError` — with
-        ``status=503`` and a ``Retry-After`` hint when the target shed,
-        with ``status=None`` when every candidate was unreachable.
+        Returns what ``/run`` writes: a held key's encoded body, shared
+        by every read and answered here even when its owner is dead, or
+        a forwarded key's enriched reply dict.  A forwarded key goes to
+        its owner shard, failing over to ring successors.  Raises
+        :class:`~repro.errors.ServiceError` — with ``status=503`` and a
+        ``Retry-After`` hint when the target shed, with ``status=None``
+        when every candidate was unreachable.
         """
-        key = cache_key(experiment_id, seed)
         with self._lock:
             self._requests += 1
-        held, token = self._tracker.lookup(key)
+        held, token = self._tracker.lookup((experiment_id, seed))
         if held is not None:
-            return dict(held)
+            return held
+        key = cache_key(experiment_id, seed)
         candidates = self._ring.preference(key, alive=self._alive())
         if not candidates:
             with self._lock:
@@ -353,27 +371,29 @@ class Router:
                     # Deterministic pause before the next candidate.
                     time.sleep(policy.backoff_s(attempt, jitter_u=0.5))
                 continue
-            return self._account(reply, key, token, name, attempt)
+            return self._account(reply, (experiment_id, seed), token,
+                                 name, attempt)
         raise ServiceError(
             f"no shard could serve {experiment_id!r} "
             f"(tried {attempts} candidate(s)): {last_exc}") from last_exc
 
     # gl: idempotent — runs once, on the success path that exits the
     # failover loop; its counters never see a retried attempt.
-    def _account(self, reply: dict, key: str, token: _KeyHeat | None,
-                 shard: str, attempts: int) -> dict:
+    def _account(self, reply: dict, key: tuple[str, int],
+                 token: _KeyHeat | None, shard: str, attempts: int) -> dict:
         """Book-keep a forwarded reply; enrich it with routing fields.
 
         A cached reply that makes or keeps its key hot is held as the
         router's own answer to later reads: ``source`` memory, one
-        attempt, and the shard that served it.
+        attempt, and the shard that served it, encoded here, once.
         """
         with self._lock:
             self._routed[shard] += 1
         reply = dict(reply, shard=shard)
         held = None
         if reply.get("source") in ("memory", "disk"):
-            held = dict(reply, source="memory", hot=True, attempts=1)
+            held = json_body(dict(reply, source="memory", hot=True,
+                                  attempts=1))
         hot, promoted, demoted = self._tracker.record(key, token, held)
         if promoted or demoted:
             with self._lock:
@@ -389,22 +409,23 @@ class Router:
                    seed: int = DEFAULT_SEED) -> dict:
         """Coherently drop one key cluster-wide.
 
-        Fans ``/invalidate`` out to every live shard (covering every
-        memory tier and the shared disk entry), then resets the key's
-        heat, dropping its held reply, so it re-earns promotion.  In
-        that order, a read that races the fan-out cannot leave a reply
-        held once this returns.
+        Fans ``/invalidate`` out to every shard (covering every memory
+        tier and the shared disk entry), also to those the health map
+        marks dead, since one failed forward marks a live shard dead
+        until the next probe; a shard that cannot be reached reports
+        False.  Then it resets the key's heat, dropping its held reply,
+        so it re-earns promotion.  In that order, a read that races the
+        fan-out cannot leave a reply held once this returns.
         """
-        key = cache_key(experiment_id, seed)
         outcomes: dict[str, bool] = {}
-        for name in self._alive():
+        for name in self._shards:
             try:
                 reply = self._client(name).invalidate(experiment_id, seed)
             except ServiceError:
                 outcomes[name] = False
             else:
                 outcomes[name] = bool(reply.get("invalidated"))
-        dropped = self._tracker.reset(key)
+        dropped = self._tracker.reset((experiment_id, seed))
         with self._lock:
             self._invalidations += 1
         return {

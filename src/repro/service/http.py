@@ -7,9 +7,14 @@ whole body, hands a socket-free :class:`Request` to the role its
 :class:`ClosingHTTPServer` carries, and writes the returned
 :data:`Reply` in one write.  A role is any :class:`App`, an object with
 ``handle(request) -> Reply``: :class:`ServiceApp` for ``repro serve``,
-and the shard and the router of :mod:`repro.cluster`.  Every connection
-gets a handler thread, so concurrent identical requests genuinely race
-into the service and exercise its single-flight path.
+and the shard and the router of :mod:`repro.cluster`.  A reply's
+payload is a dict, which the adapter encodes with :func:`json_body`, or
+a body a role encoded once and keeps (the router's held replies), which
+it writes as it is.  The ``Date`` value is formatted at most once per
+second and the ``Server`` line once per process.
+Every connection gets a handler thread, so concurrent identical
+requests genuinely race into the service and exercise its single-flight
+path.
 
 ``repro serve``'s endpoints (all JSON):
 
@@ -35,12 +40,14 @@ thin shell over the in-process API.
 
 from __future__ import annotations
 
+import email.utils
 import hashlib
 import json
 import re
 import socket
 import sys
 import threading
+import time
 from dataclasses import dataclass, field
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -61,8 +68,27 @@ MAX_BODY_BYTES = 64 * KiB
 
 _HTTP_VERSION = re.compile(r"HTTP/[0-9]+\.[0-9]+")
 
-#: A reply not yet sent: status, JSON payload, extra header fields.
-Reply = tuple[int, dict, dict[str, str] | None]
+#: A reply not yet sent: status, JSON payload, extra header fields.  The
+#: payload is a dict, or a body :func:`json_body` already encoded.
+Reply = tuple[int, dict | bytes, dict[str, str] | None]
+
+#: (second, ``Date`` text) of the latest reply; replaced whole, never mutated.
+_date: tuple[int, str] = (-1, "")
+
+
+def json_body(payload: dict) -> bytes:
+    """The JSON body the adapter writes for ``payload`` (keys sorted)."""
+    return json.dumps(payload, sort_keys=True).encode()
+
+
+def _http_date() -> str:
+    """The ``Date`` header value for now, formatted once per second."""
+    global _date
+    second = int(time.time())
+    current = _date
+    if current[0] != second:
+        current = _date = (second, email.utils.formatdate(second, usegmt=True))
+    return current[1]
 
 
 @dataclass(frozen=True)
@@ -186,6 +212,9 @@ class RequestHandler(BaseHTTPRequestHandler):
 
     server_version = f"repro/{__version__}"
     protocol_version = "HTTP/1.1"
+    #: The head's ``Server`` line, worded as ``version_string()`` words it.
+    server_line = (f"Server: {server_version} "
+                   f"{BaseHTTPRequestHandler.sys_version}")
     # Small JSON replies must not sit behind Nagle waiting for the ACK
     # of the previous keep-alive exchange (a ~40 ms stall per request).
     disable_nagle_algorithm = True
@@ -257,32 +286,34 @@ class RequestHandler(BaseHTTPRequestHandler):
             self.close_connection = True
             self.parsed = None
         else:
-            self.parsed = Request(
-                command, target.path.rstrip("/") or "/",
-                {k: v[-1] for k, v in parse_qs(target.query).items()},
-                self.rfile.read(length or 0))
+            query = ({k: v[-1] for k, v in parse_qs(target.query).items()}
+                     if target.query else {})
+            self.parsed = Request(command, target.path.rstrip("/") or "/",
+                                  query, self.rfile.read(length or 0))
         return True
 
-    def _reply(self, status: int, payload: dict,
+    def _reply(self, status: int, payload: dict | bytes,
                headers: dict[str, str] | None = None) -> None:
         """Send status line, head and JSON body in one write.
 
+        A ``bytes`` payload is an encoded body and goes out as it is.
         Head and body written apart leave as two TCP segments (Nagle is
         off) and wake the reader twice.  The explicit Content-Length
         keeps the HTTP/1.1 connection open for the next request.
         """
-        body = json.dumps(payload, sort_keys=True).encode()
+        body = payload if isinstance(payload, bytes) else json_body(payload)
         reason = self.responses.get(status, ("",))[0]
         head = [f"{self.protocol_version} {status} {reason}",
-                f"Server: {self.version_string()}",
-                f"Date: {self.date_time_string()}",
+                self.server_line,
+                f"Date: {_http_date()}",
                 "Content-Type: application/json",
                 f"Content-Length: {len(body)}"]
         head.extend(f"{name}: {value}"
                     for name, value in (headers or {}).items())
         if self.close_connection:
             head.append("Connection: close")
-        self.log_request(status)
+        if self.server.verbose:  # pragma: no cover
+            self.log_request(status)
         self.wfile.write("\r\n".join(head).encode("latin-1")
                          + b"\r\n\r\n" + body)
 

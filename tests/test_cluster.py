@@ -7,8 +7,10 @@ Covers the cluster promises layered on top of ``repro serve``:
 * the admission gate bounds queue depth and sheds with a 503 +
   ``Retry-After`` instead of queueing unboundedly;
 * the router places keys on their owner shard, fails over around dead
-  shards, answers promoted keys itself from the replies it holds (with
-  no shard hop), and invalidates coherently, even against racing reads;
+  shards, answers promoted keys itself from the encoded replies it
+  holds (with no shard hop, JSON encoding or hashing per read), and
+  invalidates coherently, even against racing reads and on shards the
+  health map marks dead;
 * a cold-key storm through the router performs exactly one compute
   cluster-wide, and every reply is byte-identical (same sha256 digest)
   to a single-node ``ExperimentService`` serving the same key;
@@ -27,8 +29,10 @@ stopped.
 from __future__ import annotations
 
 import contextlib
+import email.utils
 import glob
 import http.client
+import importlib
 import json
 import multiprocessing
 import os
@@ -63,13 +67,39 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.faults.retry import RetryPolicy
 from repro.service import ExperimentService, ServiceConfig
 from repro.service.client import ServiceClient
-from repro.service.http import Request, ServiceApp, make_server, result_digest
+from repro.service.http import (
+    ClosingHTTPServer,
+    Request,
+    ServiceApp,
+    json_body,
+    make_server,
+    result_digest,
+)
 
 SEED = 2015
 
 #: Keys reserved per test so the module-scoped cluster stays coherent:
 #: fig4 -> routing, fig5 -> stats, table2 -> hot promotion +
 #: invalidation, fig9 -> storm.
+
+
+def _fields(reply: dict | bytes) -> dict:
+    """A ``/run`` payload as a dict: a held reply is an encoded body."""
+    return json.loads(reply) if isinstance(reply, bytes) else reply
+
+
+def _count_calls(monkeypatch, target: str) -> list:
+    """Wrap the callable at dotted ``target``; the list of its calls."""
+    module, name = target.rsplit(".", 1)
+    real = getattr(importlib.import_module(module), name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, counting)
+    return calls
 
 
 def _await(predicate, timeout_s: float = 10.0, interval_s: float = 0.02):
@@ -184,8 +214,9 @@ class TestAdmissionGate:
             AdmissionPolicy(retry_after_s=0)
 
 
-#: A cached reply as the router holds it.
-HELD = {"digest": "d", "source": "memory", "attempts": 1, "hot": True}
+#: A cached reply as the router holds it: encoded.
+HELD = json_body({"digest": "d", "source": "memory", "attempts": 1,
+                  "hot": True})
 
 
 class TestHotKeyTracker:
@@ -440,9 +471,10 @@ class TestClusterServing:
             assert (held["digest"], held["source"], held["attempts"],
                     held["hot"], held["shard"]) == (
                         expected, "memory", 1, True, owner)
-        # Each read gets its own copy: an edit never reaches the next.
-        cluster.router.route("table2", SEED)["digest"] = "edited"
-        assert cluster.router.route("table2", SEED)["digest"] == expected
+        # The held reply is its encoded body: every read shares it.
+        first, second = (cluster.router.route("table2", SEED)
+                         for _ in range(2))
+        assert isinstance(first, bytes) and first == second
 
     def test_invalidation_is_coherent_across_replicas(self, cluster,
                                                       cluster_dir, client):
@@ -545,7 +577,7 @@ class TestFailover:
     def test_requests_route_around_a_dead_shard(self, cluster_dir):
         config = ClusterConfig(shards=2, jobs=1, cache_dir=cluster_dir)
         with LocalCluster(config) as cluster:
-            first = cluster.router.route("fig6", SEED)
+            first = _fields(cluster.router.route("fig6", SEED))
             victim = first["shard"]
             survivor = next(n for n in shard_names(2) if n != victim)
             # Stop the background prober first: marking the victim dead
@@ -553,14 +585,15 @@ class TestFailover:
             # this test checks.
             cluster.router.close()
             cluster.stop_shard(victim)
-            second = cluster.router.route("fig6", SEED)
+            second = _fields(cluster.router.route("fig6", SEED))
             assert second["shard"] == survivor
             assert second["digest"] == first["digest"]
             assert second["attempts"] > 1  # the dead owner was tried first
             health = cluster.router.healthy()
             assert health[victim] is False and health[survivor] is True
             # Once marked dead, the ring routes straight to the survivor.
-            assert cluster.router.route("fig6", SEED)["attempts"] == 1
+            third = _fields(cluster.router.route("fig6", SEED))
+            assert third["attempts"] == 1
 
     def test_a_held_key_is_answered_with_its_owner_dead(self, cluster_dir):
         config = ClusterConfig(shards=2, jobs=1, cache_dir=cluster_dir,
@@ -568,17 +601,18 @@ class TestFailover:
         with LocalCluster(config) as cluster:
             router = cluster.router
             router.route("fig6", SEED)  # tracks the key...
-            held = router.route("fig6", SEED)  # ...whose cached hit is held
+            # ...whose cached hit is held
+            held = _fields(router.route("fig6", SEED))
             owner = held["shard"]
             router.close()  # the prober must not mark the owner dead
             cluster.stop_shard(owner)
-            reply = router.route("fig6", SEED)
+            reply = _fields(router.route("fig6", SEED))
             assert (reply["attempts"], reply["source"], reply["shard"],
                     reply["digest"]) == (1, "memory", owner, held["digest"])
             # A key the router does not hold fails over as before.
             eid = next(e for e in sorted(EXPERIMENTS) if e != "fig6"
                        and router._ring.primary(cache_key(e, SEED)) == owner)
-            moved = router.route(eid, SEED)
+            moved = _fields(router.route(eid, SEED))
             assert moved["shard"] != owner and moved["attempts"] == 2
 
     def test_no_live_shard_raises_promptly(self, cluster_dir):
@@ -593,6 +627,30 @@ class TestFailover:
             # without probing sockets at all.
             with pytest.raises(ServiceError, match="no healthy shards"):
                 cluster.router.route("fig6", SEED)
+
+    def test_invalidate_reaches_a_shard_marked_dead(self, cluster_dir):
+        """A live owner marked dead by one failed forward drops the key."""
+        config = ClusterConfig(shards=2, jobs=1, cache_dir=cluster_dir)
+        with LocalCluster(config) as cluster:
+            router = cluster.router
+            router.close()  # the prober must not mark the owner alive
+            key = cache_key("table1", SEED)
+            owner = router._ring.primary(key)
+            other = next(n for n in shard_names(2) if n != owner)
+            router.route("table1", SEED)
+            assert _fields(router.route("table1", SEED))["source"] == "memory"
+            router._set_health(owner, False)  # as a failed forward does
+            outcome = router.invalidate("table1", SEED)
+            assert sorted(outcome["shards"]) == shard_names(2)
+            assert outcome["shards"][owner] is True
+            assert cluster.service(owner)._mem.get(key) is None
+            router._set_health(owner, True)
+            reply = _fields(router.route("table1", SEED))
+            assert (reply["source"], reply["shard"]) == ("computed", owner)
+            # A shard that cannot be reached reports False.
+            cluster.stop_shard(other)
+            assert router.invalidate("table1", SEED)["shards"] == {
+                owner: True, other: False}
 
 
 class TestHeldReplyRaces:
@@ -632,8 +690,9 @@ class TestHeldReplyRaces:
             release.set()
             reader.join(timeout=30)
         assert not reader.is_alive()
-        assert [(r["source"], r["hot"]) for r in late] == [("memory", True)]
-        assert router.route("table1", SEED)["source"] == "computed"
+        assert [(r["source"], r["hot"]) for r in map(_fields, late)] == [
+            ("memory", True)]
+        assert _fields(router.route("table1", SEED))["source"] == "computed"
 
     def test_reads_during_the_fan_out_are_not_held_after_it(self, racing):
         router, owner = racing
@@ -656,13 +715,74 @@ class TestHeldReplyRaces:
             assert blocked.wait(30)
             # The owner still has the key in memory while it waits.
             for _ in range(2):
-                assert router.route("table1", SEED)["source"] == "memory"
+                read = _fields(router.route("table1", SEED))
+                assert read["source"] == "memory"
         finally:
             release.set()
             writer.join(timeout=30)
         assert not writer.is_alive()
         assert [o["invalidated"] for o in outcome] == [True]
-        assert router.route("table1", SEED)["source"] == "computed"
+        assert _fields(router.route("table1", SEED))["source"] == "computed"
+
+
+class TestHeldReplyBytes:
+    """A held read writes stored bytes: no JSON encoding, no hashing."""
+
+    @pytest.fixture(scope="class")
+    def held(self, cluster_dir):
+        """A cluster whose router holds ``table1``; (cluster, client)."""
+        config = ClusterConfig(shards=2, jobs=1, cache_dir=cluster_dir,
+                               hot_threshold=1)
+        with LocalCluster(config) as cluster, \
+                ServiceClient(*cluster.router_address) as client:
+            # No health probes: only the reads below reach any adapter.
+            cluster.router.close()
+            client.run("table1", SEED)
+            client.run("table1", SEED)  # cached and hot: held from here on
+            yield cluster, client
+
+    def test_held_reads_encode_no_json(self, held, monkeypatch):
+        cluster, client = held
+        before = _hops(cluster)  # its /stats fan-out encodes on the shards
+        encodes = _count_calls(monkeypatch, "repro.service.http.json_body")
+        replies = [client.run("table1", SEED) for _ in range(8)]
+        assert encodes == []
+        assert [r["source"] for r in replies] == ["memory"] * 8
+        assert _hops(cluster) == before  # held: no shard hop
+
+    def test_held_reads_compute_no_cache_key(self, held, monkeypatch):
+        cluster, client = held
+        before = _hops(cluster)
+        hashes = _count_calls(monkeypatch, "repro.cluster.router.cache_key")
+        for _ in range(8):
+            client.run("table1", SEED)
+        assert hashes == []
+        assert _hops(cluster) == before
+
+    def test_held_body_is_canonical_and_byte_identical(self, held,
+                                                       reference):
+        cluster, _client = held
+        body = json.dumps({"experiment": "table1", "seed": SEED}).encode()
+        conn = http.client.HTTPConnection(*cluster.router_address,
+                                          timeout=30)
+        try:
+            bodies = []
+            for _ in range(2):
+                conn.request("POST", "/run", body=body)
+                reply = conn.getresponse()
+                assert reply.status == 200
+                bodies.append(reply.read())
+        finally:
+            conn.close()
+        first, second = bodies
+        assert first == second
+        assert first == json.dumps(json.loads(first), sort_keys=True).encode()
+        fields = json.loads(first)
+        owner = cluster.router._ring.primary(cache_key("table1", SEED))
+        expected = result_digest(reference.serve("table1", seed=SEED).result)
+        assert (fields["source"], fields["attempts"], fields["hot"],
+                fields["shard"], fields["digest"]) == (
+                    "memory", 1, True, owner, expected)
 
 
 class TestAdmissionShedding:
@@ -824,6 +944,12 @@ def _replies(data: bytes) -> list[tuple[int, bytes, bytes]]:
     return out
 
 
+def _date(head: bytes):
+    """The ``Date`` field of a reply head, as a datetime."""
+    value = re.search(rb"(?m)^Date: ([^\r]+)", head).group(1)
+    return email.utils.parsedate_to_datetime(value.decode())
+
+
 def _request(path: str = "/health", extra: bytes = b"",
              version: bytes = b"HTTP/1.1") -> bytes:
     """A bodiless GET with ``extra`` raw header lines."""
@@ -981,6 +1107,17 @@ class TestWireServer:
         assert data.startswith(b"HTTP/1.1 %d " % status)
         assert closed
 
+    def test_every_reply_carries_the_current_date(self, serve_address):
+        requests = (_request("/health") + _request("/status")
+                    + _request("/nope") + _request("/run"))
+        data, _ = _exchange(serve_address, requests)
+        replies = _replies(data)
+        assert [status for status, _head, _body in replies] == [
+            200, 200, 404, 400]
+        now = time.time()
+        for _status, head, _body in replies:
+            assert abs(_date(head).timestamp() - now) <= 2
+
     def test_one_write_per_reply(self, serve_address, monkeypatch):
         writes = []
         real = socket.socket.sendall
@@ -1017,6 +1154,29 @@ class TestWireServerRouter(TestWireServer):
     @pytest.fixture(scope="class")
     def serve_address(self, cluster):
         return cluster.router_address
+
+
+class _Constant:
+    """A role that answers every request with one small reply."""
+
+    def handle(self, request: Request):
+        return 200, {"ok": True}, None
+
+
+class TestReplyDate:
+    def test_date_is_formatted_at_most_once_per_second(self, monkeypatch):
+        clock = [time.time()]
+        monkeypatch.setattr(time, "time", lambda: clock[0])
+        formats = _count_calls(monkeypatch, "email.utils.formatdate")
+        server = ClosingHTTPServer(("127.0.0.1", 0), _Constant())
+        with _serving(server) as address:
+            data, _ = _exchange(address, _request() * 50)
+            assert len(_replies(data)) == 50
+            assert len(formats) <= 2
+            clock[0] += 2
+            data, _ = _exchange(address, _request())
+        (_status, head, _body), = _replies(data)
+        assert _date(head).timestamp() == int(clock[0])
 
 
 class _ScriptedServer:
@@ -1285,7 +1445,8 @@ class TestRoleReplies:
     def test_every_route_pins_its_status_and_payload_keys(self, roles, role):
         for request, status, keys in ROLE_TABLES[role]:
             got, payload, headers = roles[role].handle(request)
-            assert (got, set(payload), headers) == (status, keys, None), request
+            assert (got, set(_fields(payload)), headers) == (
+                status, keys, None), request
 
     @pytest.mark.parametrize("role", sorted(ROLE_TABLES))
     def test_bad_parameters_get_400_at_the_first_hop(self, roles, role):

@@ -103,6 +103,8 @@ PY
 
 echo "== cluster smoke (router + shards, byte-identity, one-hop hot read) =="
 python - <<'PY'
+import http.client
+import json
 import tempfile
 
 from repro.cluster import ClusterConfig, LocalCluster
@@ -118,6 +120,19 @@ def shard_requests(stats):
     return {name: shard["requests"] for name, shard in stats["shards"].items()}
 
 
+def raw_run(address, experiment_id):
+    """One /run body off the router's socket, as stock http.client reads it."""
+    conn = http.client.HTTPConnection(*address, timeout=60)
+    try:
+        conn.request("POST", "/run", body=json.dumps(
+            {"experiment": experiment_id, "seed": DEFAULT_SEED}))
+        reply = conn.getresponse()
+        assert reply.status == 200, reply.status
+        return reply.read()
+    finally:
+        conn.close()
+
+
 with tempfile.TemporaryDirectory() as cache_dir:
     warm_lab(DEFAULT_SEED, cache_dir)
     # Threshold 1: the repeat's cached hit promotes fig4 and the router
@@ -130,6 +145,9 @@ with tempfile.TemporaryDirectory() as cache_dir:
         repeat = client.run("fig4", DEFAULT_SEED)
         stats = client.stats()
         third = client.run("fig4", DEFAULT_SEED)
+        # The router writes a held reply from stored bytes: two reads off
+        # its socket must be byte-identical, canonical JSON.
+        bodies = [raw_run(cluster.router_address, "fig4") for _ in range(2)]
         after = client.stats()
         client.close()
 
@@ -137,7 +155,7 @@ expected = result_digest(run_experiment("fig4", Lab(seed=DEFAULT_SEED)))
 print(f"cluster: shards={len(stats['shards'])} "
       f"first={reply['source']} repeat={repeat['source']} "
       f"computed={stats['totals']['computed']} "
-      f"shard requests before/after third={shard_requests(stats)}/"
+      f"shard requests before/after held reads={shard_requests(stats)}/"
       f"{shard_requests(after)}")
 assert reply["digest"] == expected, (reply["digest"], expected)
 assert repeat["digest"] == expected
@@ -145,7 +163,13 @@ assert third["digest"] == expected
 assert stats["totals"]["computed"] == 1, stats["totals"]
 assert repeat["source"] == "memory", repeat["source"]
 assert (third["source"], third["attempts"]) == ("memory", 1), third
-assert shard_requests(after) == shard_requests(stats), "third read hopped"
+assert shard_requests(after) == shard_requests(stats), "a held read hopped"
+held = json.loads(bodies[0])
+print(f"held bodies: {len(bodies[0])} bytes, identical={bodies[0] == bodies[1]} "
+      f"source={held['source']}")
+assert bodies[0] == bodies[1], "held bodies differ"
+assert bodies[0] == json.dumps(held, sort_keys=True).encode(), "not canonical"
+assert (held["source"], held["digest"]) == ("memory", expected), held
 PY
 
 echo "== cli cluster smoke (repro cluster + repro query processes, ^C, TERM) =="
