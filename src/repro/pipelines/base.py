@@ -31,7 +31,6 @@ from repro.sim.heat import HeatSolver, HeatSource
 from repro.system.blockdev import BlockQueue
 from repro.system.filesystem import FileSystem
 from repro.system.pagecache import PageCache
-from repro.trace.events import Activity
 from repro.trace.timeline import Timeline
 from repro.viz.render import RenderResult, render_field, render_with_contours
 
@@ -213,40 +212,6 @@ class InterruptState:
     resume_bytes: int = 0
 
 
-class RecoveryTracker:
-    """Turn a queue's accumulated fault time into explicit timeline spans.
-
-    Healthy stage durations come from the calibrated stage table; the
-    extra wall time burned by failed attempts and backoff waits is not in
-    that table, so the pipeline polls this tracker after each I/O
-    operation (and before surfacing an interrupt) to emit a ``recovery``
-    span covering the fault-time delta.  The device is erroring or
-    waiting during that window, not streaming, so the span carries idle
-    activity — the node's static floor still prices it.
-    """
-
-    def __init__(self, queue: BlockQueue, timeline: Timeline) -> None:
-        self.queue = queue
-        self.timeline = timeline
-        self._fault_time = queue.stats.fault_time
-        self._faults = queue.stats.n_faults
-        self._retries = queue.stats.n_retries
-
-    def poll(self, **meta: Any) -> None:
-        """Record a ``recovery`` span for any new fault time."""
-        stats = self.queue.stats
-        delta = stats.fault_time - self._fault_time
-        if delta <= 0:
-            return
-        faults = stats.n_faults - self._faults
-        retries = stats.n_retries - self._retries
-        self._fault_time = stats.fault_time
-        self._faults = stats.n_faults
-        self._retries = stats.n_retries
-        self.timeline.record("recovery", delta, Activity(),
-                             faults=faults, retries=retries, **meta)
-
-
 def make_solver(rng: RngRegistry, grid_scale: int = 1,
                 sub_steps: int = SUB_STEPS) -> HeatSolver:
     """The proxy application instance: 128 KB grid, hot-corner source.
@@ -353,7 +318,6 @@ def record_stage(
 __all__ = [
     "InterruptState",
     "PipelineConfig",
-    "RecoveryTracker",
     "RunResult",
     "VerificationRecord",
     "make_solver",

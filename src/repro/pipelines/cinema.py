@@ -24,20 +24,18 @@ to renders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import PipelineError
-from repro.calibration import STAGE
 from repro.machine.node import Node
 from repro.pipelines.base import (
+    InterruptState,
     PipelineConfig,
     RunResult,
     make_solver,
-    make_storage,
-    record_stage,
 )
+from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
-from repro.trace.timeline import Timeline
 from repro.viz.colormap import COLORMAPS
 from repro.viz.render import render_field, render_with_contours
 
@@ -94,70 +92,70 @@ class CinemaPipeline:
         self.config = config
         self.spec = spec or CinemaSpec()
 
-    def run(self, node: Node, rng: RngRegistry | None = None) -> RunResult:
-        """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = make_solver(rng, self.config.grid_scale,
+    def run(self, node: Node, rng: RngRegistry | None = None,
+            resume: InterruptState | None = None) -> RunResult:
+        """Execute the pipeline on ``node``; returns the unmetered RunResult.
+
+        The database is buffered, never synced, so a resumed run starts
+        again at iteration 0 and rewrites it.
+        """
+        loop = PipelineLoop(self, node, rng, resume)
+        solver = make_solver(loop.rng, self.config.grid_scale,
                              self.config.solver_sub_steps)
-        fs = make_storage(node, rng)
-        timeline = Timeline()
-        result = RunResult(self.name, self.config.case, timeline)
         combos = self.spec.combinations
-        vis_cal = STAGE["visualization"]
         index_rows: list[str] = ["timestep,colormap,contours,window,file"]
 
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-
-        timeline.mark("simulate+render-database")
-        for iteration in range(1, case.iterations + 1):
-            solver.step(1)
-            record_stage(timeline, "simulation",
-                         work_scale=self.config.sim_work_scale,
-                         iteration=iteration)
-            if iteration not in io_iterations:
+        loop.timeline.mark("simulate+render-database")
+        for iteration in loop.iterations(solver):
+            if iteration not in loop.io_iterations:
                 continue
-            batch_bytes = 0
-            for k, (cmap, levels, window) in enumerate(combos):
-                vmin, vmax = window if window else (None, None)
-                if levels:
-                    frame = render_with_contours(
-                        solver.grid.data, levels, colormap=cmap,
-                        height=self.config.render_height,
-                        width=self.config.render_width,
-                    )
-                else:
-                    frame = render_field(
-                        solver.grid.data, colormap=cmap,
-                        height=self.config.render_height,
-                        width=self.config.render_width,
-                        vmin=vmin, vmax=vmax,
-                    )
-                encoded = frame.image.to_png(self.config.frame_png_level)
-                name = f"db/ts{iteration:04d}_k{k:03d}.png"
-                fs.write(name, encoded)
-                batch_bytes += len(encoded)
-                result.images_rendered += 1
-                index_rows.append(
-                    f"{iteration},{cmap},{'|'.join(map(str, levels))},"
-                    f"{window},{name}"
-                )
-            result.image_bytes += batch_bytes
+            batch_bytes = self._render_database(loop, solver.grid.data,
+                                                iteration, index_rows)
             # One render stage per combination, at visualization power.
-            timeline.record(
-                "visualization", vis_cal.duration_s * len(combos),
-                vis_cal.activity(), iteration=iteration, frames=len(combos),
-            )
-            record_stage(timeline, "coupling",
-                         disk_write_bytes=batch_bytes, iteration=iteration)
+            loop.record("visualization", work_scale=len(combos),
+                        iteration=iteration, frames=len(combos))
+            loop.record("coupling", disk_write_bytes=batch_bytes,
+                        iteration=iteration)
 
-        fs.write("db/index.csv", "\n".join(index_rows).encode())
+        loop.save("db/index.csv", "\n".join(index_rows).encode(),
+                  self.config.case.iterations)
+        result = loop.result
         if self.config.verify_data:
-            self._verify(fs, result)
+            self._verify(loop.fs, result)
         result.extra["n_combinations"] = len(combos)
         result.extra["database_files"] = result.images_rendered
         result.extra["final_mean_temperature"] = solver.grid.mean()
         return result
+
+    def _render_database(self, loop: PipelineLoop, field, iteration: int,
+                         index_rows: list[str]) -> int:
+        """Render and save every combination of one timestep; returns the
+        batch's encoded bytes."""
+        batch_bytes = 0
+        for k, (cmap, levels, window) in enumerate(self.spec.combinations):
+            vmin, vmax = window if window else (None, None)
+            if levels:
+                frame = render_with_contours(
+                    field, levels, colormap=cmap,
+                    height=self.config.render_height,
+                    width=self.config.render_width,
+                )
+            else:
+                frame = render_field(
+                    field, colormap=cmap,
+                    height=self.config.render_height,
+                    width=self.config.render_width,
+                    vmin=vmin, vmax=vmax,
+                )
+            encoded = frame.image.to_png(self.config.frame_png_level)
+            name = loop.save_frame(encoded, iteration,
+                                   name=f"db/ts{iteration:04d}_k{k:03d}.png")
+            batch_bytes += len(encoded)
+            index_rows.append(
+                f"{iteration},{cmap},{'|'.join(map(str, levels))},"
+                f"{window},{name}"
+            )
+        return batch_bytes
 
     def _verify(self, fs, result: RunResult) -> None:
         """The database must be complete and every frame decodable."""

@@ -24,15 +24,22 @@ passes through a minimum and then grows — every extra node adds a
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from repro.errors import PipelineError
 from repro.machine.network import LinkModel
 from repro.machine.node import Node
-from repro.calibration import STAGE
-from repro.pipelines.base import PipelineConfig, RunResult, make_solver
+from repro.pipelines.base import (
+    InterruptState,
+    PipelineConfig,
+    RunResult,
+    make_solver,
+)
+from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
 from repro.sim.decomposition import BlockDecomposition
+from repro.sim.heat import HeatSolver
 from repro.trace.events import Activity
-from repro.trace.timeline import Timeline
 from repro.viz.compositing import compositing_bytes
 from repro.viz.render import render_field
 
@@ -55,6 +62,33 @@ def choose_mesh(n_nodes: int, interior: int) -> tuple[int, int]:
             f"{n_nodes} nodes cannot tile a {interior}x{interior} interior"
         )
     return best
+
+
+@dataclass
+class _DecomposedSolver:
+    """The proxy solver stepped tile by tile over a block decomposition."""
+
+    solver: HeatSolver
+    decomp: BlockDecomposition
+
+    def step(self, n: int = 1) -> None:
+        """Advance ``n`` pipeline timesteps, decomposed.
+
+        Each sub-step sweeps the tiles, then the driver applies the global
+        source/boundary terms and scatters them back (one extra halo
+        refresh).
+        """
+        solver = self.solver
+        for _ in range(n):
+            for _ in range(solver.sub_steps):
+                self.decomp.step(solver.alpha, solver.dt)
+                for s in solver.sources:
+                    solver.grid.data[s.row0 : s.row1, s.col0 : s.col1] += (
+                        s.rate * solver.dt
+                    )
+                solver.apply_boundary()
+                self.decomp.scatter()
+            solver.steps_taken += 1
 
 
 class ClusterInSituPipeline:
@@ -82,26 +116,21 @@ class ClusterInSituPipeline:
             n <<= 1
         return n
 
-    def run(self, node: Node, rng: RngRegistry | None = None) -> RunResult:
+    def run(self, node: Node, rng: RngRegistry | None = None,
+            resume: InterruptState | None = None) -> RunResult:
         """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = make_solver(rng, self.config.grid_scale,
+        loop = PipelineLoop(self, node, rng, resume, storage=False)
+        solver = make_solver(loop.rng, self.config.grid_scale,
                              self.config.solver_sub_steps)
         interior = solver.grid.nx - 2
         pr, pc = choose_mesh(self.n_nodes, interior)
         decomp = BlockDecomposition(solver.grid, pr, pc)
         link = LinkModel(node.spec.network)
-
-        timeline = Timeline()
-        result = RunResult(self.name, self.config.case, timeline)
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-        sim_cal = STAGE["simulation"]
-        vis_cal = STAGE["visualization"]
+        timeline = loop.timeline
+        result = loop.result
+        vis_cal = loop.stages["visualization"]
 
         # Per-node shares: compute parallelizes over nodes; render over tiles.
-        sim_duration = sim_cal.duration_for(
-            work_scale=self.config.sim_work_scale) / self.n_nodes
         vis_duration = vis_cal.duration_s / self.n_nodes
         halo_bytes_per_node = decomp.halo_bytes_per_exchange() / max(1, self.n_nodes)
         image_bytes = self.config.render_height * self.config.render_width * 4
@@ -111,21 +140,8 @@ class ClusterInSituPipeline:
         )
 
         timeline.mark("decomposed simulate+visualize")
-        for iteration in range(1, case.iterations + 1):
-            # Real decomposed physics: each sub-step sweeps the tiles,
-            # then the driver applies the global source/boundary terms
-            # and scatters them back (one extra halo refresh).
-            for _ in range(self.config.solver_sub_steps):
-                decomp.step(solver.alpha, solver.dt)
-                for s in solver.sources:
-                    solver.grid.data[s.row0 : s.row1, s.col0 : s.col1] += (
-                        s.rate * solver.dt
-                    )
-                solver.apply_boundary()
-                decomp.scatter()
-            solver.steps_taken += 1
-            timeline.record("simulation", sim_duration, sim_cal.activity(),
-                            iteration=iteration)
+        for iteration in loop.iterations(_DecomposedSolver(solver, decomp),
+                                         nodes=self.n_nodes):
             if halo_bytes_per_node > 0:
                 halo_time = self.config.solver_sub_steps * link.transfer_time(
                     halo_bytes_per_node)
@@ -136,7 +152,7 @@ class ClusterInSituPipeline:
                              net_bytes_per_s=min(rate, link.spec.link_bw_bytes_per_s)),
                     iteration=iteration,
                 )
-            if iteration not in io_iterations:
+            if iteration not in loop.io_iterations:
                 continue
             frame = render_field(
                 solver.grid.data,

@@ -22,22 +22,27 @@ the last checkpoint.
 
 from __future__ import annotations
 
-from repro.errors import FaultError, PipelineInterrupted, RetryExhaustedError
 from repro.machine.node import Node
 from repro.pipelines.base import (
-    CHUNK_BYTES,
     InterruptState,
     PipelineConfig,
-    RecoveryTracker,
     RunResult,
-    make_storage,
-    record_stage,
     render_pipeline_frame,
 )
+from repro.pipelines.loop import PipelineLoop
 from repro.pipelines.science import cached_solver
 from repro.rng import RngRegistry
-from repro.storage.writer import DataWriter
-from repro.trace.timeline import Timeline
+
+
+def insitu_frame(loop: PipelineLoop, field, iteration: int) -> tuple[str, bytes]:
+    """The in-situ frame stage: render the live field, price the render
+    as a visualization span, and save the frame (buffered, no sync).
+
+    Returns the frame's file name and encoded bytes.
+    """
+    _frame, encoded = render_pipeline_frame(field, loop.config)
+    loop.record("visualization", iteration=iteration)
+    return loop.save_frame(encoded, iteration), encoded
 
 
 class InSituPipeline:
@@ -48,105 +53,23 @@ class InSituPipeline:
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
 
-    def _interrupt(self, exc: Exception, iteration: int, fs,
-                   result: RunResult, ck_writer: DataWriter | None) -> None:
-        """Package the interrupt state and re-raise as PipelineInterrupted."""
-        resume_bytes = 0
-        if ck_writer is not None and iteration > 0:
-            name = ck_writer.filename(iteration)
-            if fs.exists(name):
-                resume_bytes = fs.size(name)
-        state = InterruptState(
-            pipeline=self.name, phase="loop", iteration=iteration,
-            fs=fs, result=result, resume_bytes=resume_bytes,
-        )
-        raise PipelineInterrupted(
-            f"{self.name} interrupted at durable iteration {iteration}: {exc}",
-            state=state,
-        ) from exc
-
     def run(self, node: Node, rng: RngRegistry | None = None,
             resume: InterruptState | None = None) -> RunResult:
         """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = cached_solver(rng, self.config.grid_scale,
+        loop = PipelineLoop(self, node, rng, resume)
+        solver = cached_solver(loop.rng, self.config.grid_scale,
                                self.config.solver_sub_steps)
-        if resume is not None:
-            fs = resume.fs
-            durable = resume.iteration
-        else:
-            fs = make_storage(node, rng, retry=self.config.retry_policy)
-            durable = 0
-        interval = self.config.checkpoint_interval
-        ck_writer = None
-        if interval > 0:
-            # Durable checkpoints; caches are kept warm (the loop reuses
-            # the field immediately), unlike the post pipeline's dumps.
-            ck_writer = DataWriter(fs, prefix="ck", chunk_bytes=CHUNK_BYTES,
-                                   sync_each=True, drop_caches_each=False)
-        timeline = Timeline()
-        stages = self.config.stage_table
-        result = RunResult(self.name, self.config.case, timeline)
-        tracker = RecoveryTracker(fs.queue, timeline)
+        loop.timeline.mark("simulate+visualize")
+        for iteration in loop.iterations(solver):
+            if iteration in loop.io_iterations:
+                name, encoded = insitu_frame(loop, solver.grid.data, iteration)
+                loop.record("coupling", disk_write_bytes=len(encoded),
+                            iteration=iteration, file=name)
+            loop.checkpoint(solver, iteration)
 
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-
-        timeline.mark("simulate+visualize")
-        if durable:
-            # Restore the field from the last checkpoint: replayed from
-            # the trajectory cache (the restart span already charged the
-            # checkpoint read).
-            solver.step(durable)
-        for iteration in range(durable + 1, case.iterations + 1):
-            solver.step(1)
-            record_stage(timeline, "simulation", table=stages,
-                         work_scale=self.config.sim_work_scale,
-                         iteration=iteration)
-            if iteration in io_iterations:
-                _frame, encoded = render_pipeline_frame(solver.grid.data,
-                                                        self.config)
-                result.images_rendered += 1
-                record_stage(timeline, "visualization", table=stages, iteration=iteration)
-                result.image_bytes += len(encoded)
-                name = f"frame{iteration:04d}.{self.config.image_format}"
-                if fs.exists(name):
-                    # A restarted run re-renders frames the interrupt ate.
-                    fs.delete(name)
-                try:
-                    fs.write(name, encoded)  # buffered; no sync
-                except (FaultError, RetryExhaustedError) as exc:
-                    tracker.poll(iteration=iteration)
-                    self._interrupt(exc, durable, fs, result, ck_writer)
-                tracker.poll(iteration=iteration)
-                record_stage(
-                    timeline, "coupling", table=stages,
-                    disk_write_bytes=len(encoded),
-                    iteration=iteration, file=name,
-                )
-            if interval > 0 and iteration % interval == 0:
-                try:
-                    report = ck_writer.write_timestep(
-                        solver.grid, iteration, physical_time=solver.time
-                    )
-                except (FaultError, RetryExhaustedError) as exc:
-                    tracker.poll(iteration=iteration)
-                    ck_name = ck_writer.filename(iteration)
-                    if fs.exists(ck_name):
-                        # Committed but not durably synced: discard it.
-                        fs.delete(ck_name)
-                    self._interrupt(exc, durable, fs, result, ck_writer)
-                tracker.poll(iteration=iteration)
-                result.data_bytes_written += report.nbytes
-                record_stage(
-                    timeline, "nnwrite", table=stages,
-                    disk_write_bytes=report.nbytes,
-                    iteration=iteration, file=report.name, checkpoint=True,
-                )
-                durable = iteration
-
+        result = loop.result
         result.extra["final_mean_temperature"] = solver.grid.mean()
         result.extra["files_written"] = result.images_rendered
-        result.extra["io_faults"] = fs.queue.stats.n_faults
-        result.extra["io_retries"] = fs.queue.stats.n_retries
+        result.extra["io_faults"] = loop.fs.queue.stats.n_faults
+        result.extra["io_retries"] = loop.fs.queue.stats.n_retries
         return result

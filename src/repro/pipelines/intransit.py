@@ -20,15 +20,16 @@ multi-node question is exactly whether shipping beats storing).
 from __future__ import annotations
 
 from repro.errors import PipelineError
-from repro.calibration import STAGE
 from repro.machine.network import LinkModel
 from repro.machine.node import Node
 from repro.pipelines.base import (
+    InterruptState,
     PipelineConfig,
     RunResult,
     make_solver,
     record_stage,
 )
+from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
 from repro.trace.events import Activity
 from repro.trace.timeline import Timeline
@@ -43,48 +44,33 @@ class InTransitPipeline:
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
 
-    def run(self, node: Node, rng: RngRegistry | None = None) -> RunResult:
+    def run(self, node: Node, rng: RngRegistry | None = None,
+            resume: InterruptState | None = None) -> RunResult:
         """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = make_solver(rng, self.config.grid_scale,
+        loop = PipelineLoop(self, node, rng, resume, storage=False)
+        solver = make_solver(loop.rng, self.config.grid_scale,
                              self.config.solver_sub_steps)
         link = LinkModel(node.spec.network)
-        compute = Timeline()
+        compute = loop.timeline
         staging = Timeline()
-        result = RunResult(self.name, self.config.case, compute)
-
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-        vis_cal = STAGE["visualization"]
+        result = loop.result
 
         compute.mark("simulate+send")
         staging.mark("receive+visualize")
-        for iteration in range(1, case.iterations + 1):
-            solver.step(1)
-            record_stage(compute, "simulation",
-                         work_scale=self.config.sim_work_scale,
-                         iteration=iteration)
-            if iteration not in io_iterations:
+        for iteration in loop.iterations(solver):
+            if iteration not in loop.io_iterations:
                 continue
             payload = solver.grid.to_bytes()
             send_time = link.transfer_time(len(payload))
             rate = len(payload) / send_time
-            compute.record(
-                "staging-send", send_time,
-                Activity(cpu_util=0.02, dram_bytes_per_s=min(rate, 2e9),
-                         net_bytes_per_s=rate),
-                iteration=iteration, nbytes=len(payload),
-            )
+            compute.record("staging-send", send_time, _link_activity(rate),
+                           iteration=iteration, nbytes=len(payload))
             # Staging side: idle until the send lands, then receive+render.
             arrival = compute.now
             if staging.now < arrival:
                 staging.idle(arrival - staging.now)
-            staging.record(
-                "receive", send_time,
-                Activity(cpu_util=0.02, dram_bytes_per_s=min(rate, 2e9),
-                         net_bytes_per_s=rate),
-                iteration=iteration,
-            )
+            staging.record("receive", send_time, _link_activity(rate),
+                           iteration=iteration)
             frame = render_field(
                 solver.grid.data,
                 height=self.config.render_height,
@@ -92,10 +78,8 @@ class InTransitPipeline:
             )
             result.images_rendered += 1
             result.image_bytes += frame.nbytes
-            staging.record(
-                "visualization", vis_cal.duration_s,
-                vis_cal.activity(), iteration=iteration,
-            )
+            record_stage(staging, "visualization", table=loop.stages,
+                         iteration=iteration)
 
         # The run ends when both nodes are done; the compute node idles
         # out any staging tail (it cannot exit before its partner).
@@ -104,8 +88,14 @@ class InTransitPipeline:
         elif compute.now > staging.now:
             staging.idle(compute.now - staging.now)
 
-        if result.images_rendered != len(io_iterations):
+        if result.images_rendered != len(loop.io_iterations):
             raise PipelineError("staging node dropped frames")
         result.extra["staging_timeline"] = staging
         result.extra["final_mean_temperature"] = solver.grid.mean()
         return result
+
+
+def _link_activity(rate: float) -> Activity:
+    """One end of a field transfer over the interconnect."""
+    return Activity(cpu_util=0.02, dram_bytes_per_s=min(rate, 2e9),
+                    net_bytes_per_s=rate)

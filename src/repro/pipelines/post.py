@@ -21,30 +21,20 @@ last visualized timestep (phase 2).
 
 from __future__ import annotations
 
-from repro.errors import (
-    FaultError,
-    PipelineError,
-    PipelineInterrupted,
-    RetryExhaustedError,
-)
-from repro.fingerprint import field_fingerprint
+from repro.errors import PipelineError
 from repro.machine.node import Node
 from repro.pipelines.base import (
     CHUNK_BYTES,
     InterruptState,
     PipelineConfig,
-    RecoveryTracker,
     RunResult,
-    VerificationRecord,
-    make_storage,
-    record_stage,
     render_pipeline_frame,
 )
+from repro.pipelines.loop import PipelineLoop
 from repro.pipelines.science import cached_solver
 from repro.rng import RngRegistry
 from repro.storage.reader import DataReader
 from repro.storage.writer import DataWriter
-from repro.trace.timeline import Timeline
 
 
 class PostProcessingPipeline:
@@ -55,145 +45,65 @@ class PostProcessingPipeline:
     def __init__(self, config: PipelineConfig) -> None:
         self.config = config
 
-    def _interrupt(self, exc: Exception, phase: str, iteration: int,
-                   fs, result: RunResult, checksums: dict[int, int]) -> None:
-        """Package the interrupt state and re-raise as PipelineInterrupted."""
-        resume_bytes = 0
-        if phase == "write" and iteration > 0:
-            name = f"ts{iteration:04d}.dat"
-            if fs.exists(name):
-                resume_bytes = fs.size(name)
-        state = InterruptState(
-            pipeline=self.name, phase=phase, iteration=iteration,
-            fs=fs, result=result, checksums=checksums,
-            resume_bytes=resume_bytes,
-        )
-        raise PipelineInterrupted(
-            f"{self.name} interrupted in phase {phase!r} "
-            f"(last durable iteration {iteration}): {exc}",
-            state=state,
-        ) from exc
-
     def run(self, node: Node, rng: RngRegistry | None = None,
             resume: InterruptState | None = None) -> RunResult:
         """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = cached_solver(rng, self.config.grid_scale,
-                               self.config.solver_sub_steps)
-        if resume is not None:
-            fs = resume.fs
-            written_checksums = resume.checksums
-            resume_phase = resume.phase
-            durable = resume.iteration
-        else:
-            fs = make_storage(node, rng, retry=self.config.retry_policy)
-            written_checksums = {}
-            resume_phase = "write"
-            durable = 0
-        writer = DataWriter(fs, chunk_bytes=CHUNK_BYTES,
-                            sync_each=True, drop_caches_each=True)
-        reader = DataReader(fs, drop_caches_first=True)
-        timeline = Timeline()
-        stages = self.config.stage_table
-        result = RunResult(self.name, self.config.case, timeline)
-        tracker = RecoveryTracker(fs.queue, timeline)
+        config = self.config
+        loop = PipelineLoop(self, node, rng, resume, phase="write")
+        solver = cached_solver(loop.rng, config.grid_scale,
+                               config.solver_sub_steps)
+        writer = DataWriter(loop.fs, chunk_bytes=CHUNK_BYTES)
+        reader = DataReader(loop.fs, drop_caches_first=True)
 
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-        visualized = 0
-
-        if resume_phase == "write":
+        if loop.phase == "write":
             # -- phase 1: simulate + write ----------------------------------------
-            timeline.mark("simulate+write")
-            if durable:
-                # Restore solver state at the last durable dump: replayed
-                # from the trajectory cache (the restart span already
-                # charged the checkpoint read).
-                solver.step(durable)
-            for iteration in range(durable + 1, case.iterations + 1):
-                solver.step(1)
-                record_stage(timeline, "simulation", table=stages,
-                             work_scale=self.config.sim_work_scale,
-                             iteration=iteration)
-                if iteration in io_iterations:
-                    try:
-                        report = writer.write_timestep(
-                            solver.grid, iteration, physical_time=solver.time
-                        )
-                    except (FaultError, RetryExhaustedError) as exc:
-                        tracker.poll(iteration=iteration)
-                        name = writer.filename(iteration)
-                        if fs.exists(name):
-                            # Committed but not durably synced: discard so
-                            # the restarted run re-dumps this timestep.
-                            fs.delete(name)
-                        self._interrupt(exc, "write", durable, fs, result,
-                                        written_checksums)
-                    tracker.poll(iteration=iteration)
-                    if self.config.verify_data:
-                        written_checksums[iteration] = field_fingerprint(solver.grid.data)
-                    result.data_bytes_written += report.nbytes
-                    record_stage(
-                        timeline, "nnwrite", table=stages,
-                        disk_write_bytes=report.nbytes,
-                        iteration=iteration, file=report.name,
-                    )
-                    durable = iteration
+            loop.timeline.mark("simulate+write")
+            for iteration in loop.iterations(solver):
+                if iteration in loop.io_iterations:
+                    loop.dump(writer, solver.grid, iteration, solver.time,
+                              restart=True)
+            # Nothing in phase 2 is durable until its first frame.
+            loop.phase, loop.durable, loop.resume_bytes = "read", 0, 0
         else:
             # Phase 1 completed before the interrupt: replay the physics
             # (cached, instantaneous) for the final-state metric and skip
             # already-visualized timesteps.
-            solver.step(case.iterations)
-            visualized = resume.iteration
+            solver.step(config.case.iterations)
 
         # -- phase 2: read + visualize -------------------------------------------
-        timeline.mark("read+visualize")
+        loop.timeline.mark("read+visualize")
         for timestep in reader.available_timesteps():
-            if timestep <= visualized:
+            if timestep <= loop.durable:
                 continue
-            try:
-                grid, report = reader.read_grid(timestep)
-            except (FaultError, RetryExhaustedError) as exc:
-                tracker.poll(iteration=timestep)
-                self._interrupt(exc, "read", visualized, fs, result,
-                                written_checksums)
-            tracker.poll(iteration=timestep)
-            result.data_bytes_read += report.nbytes
-            record_stage(
-                timeline, "nnread", table=stages,
-                disk_read_bytes=report.nbytes,
-                iteration=timestep, file=report.name,
-            )
-            if self.config.verify_data:
-                result.verification.grids_checked += 1
-                if field_fingerprint(grid.data) == written_checksums.get(timestep):
-                    result.verification.grids_matched += 1
-            _frame, encoded = render_pipeline_frame(grid.data, self.config)
-            result.images_rendered += 1
-            result.image_bytes += len(encoded)
-            frame_name = f"frame{timestep:04d}.{self.config.image_format}"
-            if fs.exists(frame_name):
-                # A restarted run re-renders the frame the interrupt ate.
-                fs.delete(frame_name)
-            try:
-                fs.write(frame_name, encoded)
-            except (FaultError, RetryExhaustedError) as exc:
-                tracker.poll(iteration=timestep)
-                self._interrupt(exc, "read", visualized, fs, result,
-                                written_checksums)
-            tracker.poll(iteration=timestep)
-            record_stage(timeline, "visualization", table=stages, iteration=timestep)
-            visualized = timestep
+            grid = self._read_back(loop, reader, timestep)
+            _frame, encoded = render_pipeline_frame(grid.data, config)
+            loop.save_frame(encoded, timestep)
+            loop.record("visualization", iteration=timestep)
+            loop.durable = timestep
 
-        if self.config.verify_data and not result.verification.ok:
+        result = loop.result
+        if config.verify_data and not result.verification.ok:
             raise PipelineError(
                 f"data corruption: {result.verification.grids_matched}/"
                 f"{result.verification.grids_checked} grids round-tripped"
             )
         result.extra["files_written"] = sum(
-            1 for name in fs.files if name.startswith(writer.prefix)
+            1 for name in loop.fs.files if name.startswith(writer.prefix)
         )
         result.extra["final_mean_temperature"] = solver.grid.mean()
-        result.extra["io_faults"] = fs.queue.stats.n_faults
-        result.extra["io_retries"] = fs.queue.stats.n_retries
+        result.extra["io_faults"] = loop.fs.queue.stats.n_faults
+        result.extra["io_retries"] = loop.fs.queue.stats.n_retries
         return result
+
+    def _read_back(self, loop: PipelineLoop, reader: DataReader,
+                   timestep: int):
+        """Phase 2's read stage: a cold read of one dump, priced as an
+        ``nnread``, and checked against what was written."""
+        with loop.io(timestep):
+            grid, report = reader.read_grid(timestep)
+        loop.result.data_bytes_read += report.nbytes
+        loop.record("nnread", disk_read_bytes=report.nbytes,
+                    iteration=timestep, file=report.name)
+        if self.config.verify_data:
+            loop.verify(grid, timestep)
+        return grid

@@ -18,23 +18,21 @@ carries the reconstruction RMSE of its own sampled data.
 from __future__ import annotations
 
 from repro.errors import PipelineError
-from repro.fingerprint import field_fingerprint
 from repro.machine.node import Node
 from repro.pipelines.base import (
     CHUNK_BYTES,
+    InterruptState,
     PipelineConfig,
     RunResult,
     make_solver,
-    make_storage,
-    record_stage,
 )
+from repro.pipelines.insitu import insitu_frame
+from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
 from repro.sim.grid import Grid2D
 from repro.storage.reader import DataReader
 from repro.storage.sampling import sample_field
 from repro.storage.writer import DataWriter
-from repro.trace.timeline import Timeline
-from repro.viz.render import render_field, render_with_contours
 
 
 class SamplingInSituPipeline:
@@ -50,56 +48,39 @@ class SamplingInSituPipeline:
         self.config = config
         self.sampling_factor = sampling_factor
 
-    def run(self, node: Node, rng: RngRegistry | None = None) -> RunResult:
-        """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = make_solver(rng, self.config.grid_scale,
+    def run(self, node: Node, rng: RngRegistry | None = None,
+            resume: InterruptState | None = None) -> RunResult:
+        """Execute the pipeline on ``node``; returns the unmetered RunResult.
+
+        The sampling reports live in memory, so no dump is a restart
+        point: a resumed run starts again at iteration 0.
+        """
+        loop = PipelineLoop(self, node, rng, resume)
+        solver = make_solver(loop.rng, self.config.grid_scale,
                              self.config.solver_sub_steps)
-        fs = make_storage(node, rng)
-        writer = DataWriter(fs, prefix="smp", chunk_bytes=CHUNK_BYTES,
-                            sync_each=True, drop_caches_each=True)
-        timeline = Timeline()
-        stages = self.config.stage_table
-        result = RunResult(self.name, self.config.case, timeline)
+        writer = DataWriter(loop.fs, prefix="smp", chunk_bytes=CHUNK_BYTES)
         sampling_reports = []
-        written_checksums: dict[int, int] = {}
 
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
-
-        timeline.mark("simulate+visualize+sample")
-        for iteration in range(1, case.iterations + 1):
-            solver.step(1)
-            record_stage(timeline, "simulation", table=stages,
-                         work_scale=self.config.sim_work_scale,
-                         iteration=iteration)
-            if iteration not in io_iterations:
+        loop.timeline.mark("simulate+visualize+sample")
+        for iteration in loop.iterations(solver):
+            if iteration not in loop.io_iterations:
                 continue
             # In-situ rendering, exactly as the plain in-situ pipeline.
-            frame = self._render(solver.grid.data)
-            result.images_rendered += 1
-            record_stage(timeline, "visualization", table=stages, iteration=iteration)
-            encoded = self._encode(frame)
-            result.image_bytes += len(encoded)
-            fs.write(f"frame{iteration:04d}.{self.config.image_format}", encoded)
-            record_stage(timeline, "coupling", table=stages,
-                         disk_write_bytes=len(encoded), iteration=iteration)
+            _name, encoded = insitu_frame(loop, solver.grid.data, iteration)
+            loop.record("coupling", disk_write_bytes=len(encoded),
+                        iteration=iteration)
             # The sampled dump: decimate, quantify the loss, persist.
             sampled, report = sample_field(solver.grid.data,
                                            self.sampling_factor)
             sampling_reports.append(report)
             sampled_grid = Grid2D(*sampled.shape)
             sampled_grid.data[:] = sampled
-            wreport = writer.write_timestep(sampled_grid, iteration,
-                                            physical_time=solver.time)
-            written_checksums[iteration] = field_fingerprint(sampled_grid.data)
-            result.data_bytes_written += wreport.nbytes
-            record_stage(timeline, "nnwrite", table=stages,
-                         disk_write_bytes=wreport.nbytes,
-                         iteration=iteration, file=wreport.name, sampled=True)
+            loop.dump(writer, sampled_grid, iteration, solver.time,
+                      sampled=True)
 
+        result = loop.result
         if self.config.verify_data:
-            self._verify(fs, written_checksums, result)
+            self._verify(loop)
 
         result.extra["sampling_factor"] = self.sampling_factor
         result.extra["sampling_reports"] = sampling_reports
@@ -111,38 +92,16 @@ class SamplingInSituPipeline:
         result.extra["final_mean_temperature"] = solver.grid.mean()
         return result
 
-    def _verify(self, fs, written_checksums: dict[int, int],
-                result: RunResult) -> None:
+    def _verify(self, loop: PipelineLoop) -> None:
         """Out-of-band check: sampled dumps round-trip bit-exactly.
 
         Sampling is lossy against the full field by design, but the
         *stored sample itself* must survive the storage stack unchanged.
         """
-        reader = DataReader(fs, prefix="smp", drop_caches_first=False)
+        reader = DataReader(loop.fs, prefix="smp", drop_caches_first=False)
         for timestep in reader.available_timesteps():
-            grid, _ = reader.read_grid(timestep)
-            result.verification.grids_checked += 1
-            if field_fingerprint(grid.data) == written_checksums.get(timestep):
-                result.verification.grids_matched += 1
-        if not result.verification.ok:
+            with loop.io(timestep):
+                grid, _ = reader.read_grid(timestep)
+            loop.verify(grid, timestep)
+        if not loop.result.verification.ok:
             raise PipelineError("sampled dump failed to round-trip")
-
-    # -- helpers --------------------------------------------------------------------
-
-    def _render(self, field):
-        if self.config.contour_levels:
-            return render_with_contours(
-                field, self.config.contour_levels,
-                height=self.config.render_height,
-                width=self.config.render_width,
-            )
-        return render_field(
-            field,
-            height=self.config.render_height,
-            width=self.config.render_width,
-        )
-
-    def _encode(self, frame) -> bytes:
-        if self.config.image_format == "png":
-            return frame.image.to_png(self.config.frame_png_level)
-        return frame.image.to_ppm()

@@ -116,11 +116,6 @@ class ScienceCache:
             return _RecordingSolver(solver, trajectory, self)
         return _ReplaySolver(trajectory, self)
 
-    def clear(self) -> None:
-        """Drop every recorded trajectory (mainly for tests)."""
-        self._trajectories.clear()
-        self._spent_bytes = 0
-
 
 class _RecordingSolver:
     """Wraps a live solver; snapshots the field whenever it is observed."""

@@ -15,13 +15,11 @@ pixels of the 256^2 raster).
 from __future__ import annotations
 
 from repro.errors import PipelineError
-from repro.calibration import STAGE
 from repro.machine.node import Node
-from repro.pipelines.base import PipelineConfig, RunResult, make_storage
+from repro.pipelines.base import InterruptState, PipelineConfig, RunResult
+from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
-from repro.sim.heat import BoundaryCondition
 from repro.sim.heat3d import Grid3D, HeatSolver3D, HeatSource3D
-from repro.trace.timeline import Timeline
 from repro.viz.volume import VolumeCamera, render_volume
 
 
@@ -60,56 +58,46 @@ class VolumetricInSituPipeline:
         reference = self.config.render_height * self.config.render_width
         return shaded / reference
 
-    def run(self, node: Node, rng: RngRegistry | None = None) -> RunResult:
-        """Execute the pipeline on ``node``; returns the unmetered RunResult."""
-        rng = rng or RngRegistry()
-        solver = make_solver3d(rng, self.resolution,
-                               self.config.solver_sub_steps)
-        fs = make_storage(node, rng)
-        timeline = Timeline()
-        result = RunResult(self.name, self.config.case, timeline)
-        sim_cal = STAGE["simulation"]
-        vis_cal = STAGE["visualization"]
-        render_factor = self._render_cost_factor()
+    def run(self, node: Node, rng: RngRegistry | None = None,
+            resume: InterruptState | None = None) -> RunResult:
+        """Execute the pipeline on ``node``; returns the unmetered RunResult.
 
-        case = self.config.case
-        io_iterations = set(case.io_iterations())
+        Frames are buffered, never synced, so a resumed run starts again
+        at iteration 0 and rewrites them.
+        """
+        loop = PipelineLoop(self, node, rng, resume)
+        solver = make_solver3d(loop.rng, self.resolution,
+                               self.config.solver_sub_steps)
         # Modeled sim cost scales with cell count vs the 2-D reference.
         sim_scale = solver.grid.n_cells / (128 * 128)
 
-        timeline.mark("simulate3d+raycast")
-        for iteration in range(1, case.iterations + 1):
-            solver.step(1)
-            timeline.record("simulation",
-                            sim_cal.duration_for(work_scale=sim_scale),
-                            sim_cal.activity(), iteration=iteration)
-            if iteration not in io_iterations:
-                continue
-            batch_bytes = 0
-            for axis in self.axes:
-                image = render_volume(
-                    solver.grid.data,
-                    VolumeCamera(axis=axis, samples=self.samples),
-                )
-                encoded = image.to_png(self.config.frame_png_level)
-                batch_bytes += len(encoded)
-                fs.write(f"vol{iteration:04d}_ax{axis}.png", encoded)
-                result.images_rendered += 1
-            result.image_bytes += batch_bytes
-            timeline.record(
-                "visualization",
-                vis_cal.duration_s * render_factor * len(self.axes),
-                vis_cal.activity(), iteration=iteration,
-            )
-            record_bytes = batch_bytes
-            timeline.record(
-                "coupling", STAGE["coupling"].duration_s,
-                STAGE["coupling"].activity(disk_write_bytes=record_bytes),
-                iteration=iteration,
-            )
+        loop.timeline.mark("simulate3d+raycast")
+        for iteration in loop.iterations(solver, work_scale=sim_scale):
+            if iteration in loop.io_iterations:
+                self._raycast(loop, solver.grid.data, iteration)
 
-        lo, hi = solver.grid.minmax()
-        result.extra["field_range"] = (lo, hi)
+        result = loop.result
+        result.extra["field_range"] = solver.grid.minmax()
         result.extra["final_mean_temperature"] = float(solver.grid.data.mean())
-        result.extra["render_cost_factor"] = render_factor
+        result.extra["render_cost_factor"] = self._render_cost_factor()
         return result
+
+    def _raycast(self, loop: PipelineLoop, volume, iteration: int) -> None:
+        """Ray-cast the volume from every axis, save the frames, and price
+        the render by its shaded-sample count."""
+        batch_bytes = 0
+        for axis in self.axes:
+            image = render_volume(volume,
+                                  VolumeCamera(axis=axis, samples=self.samples))
+            encoded = image.to_png(self.config.frame_png_level)
+            batch_bytes += len(encoded)
+            loop.save_frame(encoded, iteration,
+                            name=f"vol{iteration:04d}_ax{axis}.png")
+        vis_cal = loop.stages["visualization"]
+        loop.timeline.record(
+            "visualization",
+            vis_cal.duration_s * self._render_cost_factor() * len(self.axes),
+            vis_cal.activity(), iteration=iteration,
+        )
+        loop.record("coupling", disk_write_bytes=batch_bytes,
+                    iteration=iteration)

@@ -15,7 +15,7 @@ from repro.pipelines import (
     PostProcessingPipeline,
     science,
 )
-from repro.pipelines import base, post
+from repro.pipelines import base, loop
 from repro.rng import RngRegistry
 from repro.storage import DataReader
 from repro.storage.format import payload_container
@@ -220,10 +220,10 @@ class TestScienceSnapshots:
             systems.append(base.make_storage(*args, **kwargs))
             return systems[-1]
 
-        monkeypatch.setattr(post, "make_storage", capture)
+        monkeypatch.setattr(loop, "make_storage", capture)
         results = self._pair(44)
         assert all(r.verification.ok for r in results)
-        (fs,) = systems
+        fs, _insitu_fs = systems  # the post run's storage comes first
         (trajectory,) = cache._trajectories.values()
         dumped = DataReader(fs).available_timesteps()
         assert dumped == CASE_STUDIES[3].io_iterations()
