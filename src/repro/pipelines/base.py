@@ -1,4 +1,4 @@
-"""Pipeline plumbing: configuration, results, and the shared stage toolkit.
+"""Pipeline plumbing: configuration, results, and the shared factories.
 
 A pipeline *really runs*: the heat solver integrates the PDE, dumps flow
 through the page cache and filesystem into the disk model, the renderer
@@ -50,8 +50,11 @@ class PipelineConfig:
     contour_levels:
         Isocontour levels burned into each frame (empty = none).
     verify_data:
-        Post-processing only: compare every read-back grid against the
-        grid that was written (end-to-end storage validation).
+        End-to-end storage validation: post-processing compares every
+        read-back grid against the grid that was written, sampling
+        re-reads its decimated dumps the same way, and Cinema checks that
+        its image database is complete and every frame decodes.  The
+        other placements read nothing back.
     """
 
     case: CaseStudyConfig
@@ -291,30 +294,6 @@ def make_storage(node: Node, rng: RngRegistry,
     return FileSystem(queue, cache=cache, layout=layout, rng=rng)
 
 
-def record_stage(
-    timeline: Timeline,
-    stage: str,
-    disk_read_bytes: float = 0.0,
-    disk_write_bytes: float = 0.0,
-    work_scale: float = 1.0,
-    table: dict | None = None,
-    **meta: Any,
-):
-    """Append a span for ``stage`` using its calibrated cost.
-
-    Stages with a payload term (nnwrite/nnread) scale their duration
-    with the bytes actually moved; at the paper's 128 KiB payloads the
-    term is negligible against the sync/drop-caches barrier.
-    ``work_scale`` multiplies the base term (simulation on bigger grids).
-    ``table`` overrides the global calibration (stage-override studies).
-    """
-    cal = (table or STAGE)[stage]
-    payload = disk_read_bytes + disk_write_bytes
-    duration = cal.duration_for(payload if payload > 0 else None, work_scale)
-    activity = cal.activity(disk_read_bytes, disk_write_bytes, duration)
-    return timeline.record(stage, duration, activity, **meta)
-
-
 __all__ = [
     "InterruptState",
     "PipelineConfig",
@@ -322,7 +301,6 @@ __all__ = [
     "VerificationRecord",
     "make_solver",
     "make_storage",
-    "record_stage",
     "render_pipeline_frame",
     "CHUNK_BYTES",
 ]

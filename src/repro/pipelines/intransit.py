@@ -27,7 +27,6 @@ from repro.pipelines.base import (
     PipelineConfig,
     RunResult,
     make_solver,
-    record_stage,
 )
 from repro.pipelines.loop import PipelineLoop
 from repro.rng import RngRegistry
@@ -54,6 +53,7 @@ class InTransitPipeline:
         compute = loop.timeline
         staging = Timeline()
         result = loop.result
+        vis_cal = loop.stages["visualization"]
 
         compute.mark("simulate+send")
         staging.mark("receive+visualize")
@@ -78,8 +78,8 @@ class InTransitPipeline:
             )
             result.images_rendered += 1
             result.image_bytes += frame.nbytes
-            record_stage(staging, "visualization", table=loop.stages,
-                         iteration=iteration)
+            staging.record("visualization", vis_cal.duration_s,
+                           vis_cal.activity(), iteration=iteration)
 
         # The run ends when both nodes are done; the compute node idles
         # out any staging tail (it cannot exit before its partner).

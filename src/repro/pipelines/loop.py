@@ -34,12 +34,7 @@ from repro.calibration import CHUNK_BYTES
 from repro.errors import FaultError, PipelineInterrupted, RetryExhaustedError
 from repro.fingerprint import field_fingerprint
 from repro.machine.node import Node
-from repro.pipelines.base import (
-    InterruptState,
-    RunResult,
-    make_storage,
-    record_stage,
-)
+from repro.pipelines.base import InterruptState, RunResult, make_storage
 from repro.rng import RngRegistry
 from repro.sim.grid import Grid2D
 from repro.storage.writer import DataWriter, WriteReport
@@ -77,9 +72,21 @@ class PipelineLoop:
             #: Fault time, faults and retries already priced as recovery.
             self._priced = (stats.fault_time, stats.n_faults, stats.n_retries)
 
-    def record(self, stage: str, **kwargs: Any):
-        """A span for ``stage`` priced from this run's stage table."""
-        return record_stage(self.timeline, stage, table=self.stages, **kwargs)
+    def record(self, stage: str, disk_read_bytes: float = 0.0,
+               disk_write_bytes: float = 0.0, work_scale: float = 1.0,
+               **meta: Any):
+        """Append a span for ``stage`` priced from this run's stage table.
+
+        Stages with a payload term (nnwrite/nnread) scale their duration
+        with the bytes actually moved; at the paper's 128 KiB payloads the
+        term is negligible against the sync/drop-caches barrier.
+        ``work_scale`` multiplies the base term.
+        """
+        cal = self.stages[stage]
+        payload = disk_read_bytes + disk_write_bytes
+        duration = cal.duration_for(payload if payload > 0 else None, work_scale)
+        activity = cal.activity(disk_read_bytes, disk_write_bytes, duration)
+        return self.timeline.record(stage, duration, activity, **meta)
 
     def iterations(self, solver, work_scale: float | None = None,
                    nodes: int = 1):

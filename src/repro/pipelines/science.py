@@ -27,9 +27,12 @@ alike — one buffer per dumped field.  A field that does not fit that
 layout (not C-contiguous ``<f8``, or rows wider than ``CHUNK_BYTES``)
 is recorded as a plain read-only copy.
 
-Only pipelines that treat the solver as step-and-observe (``step``,
-``grid``, ``time``) use the cache; pipelines that mutate solver state
-directly (the multi-node decomposition) keep building live solvers.
+Post-processing and in-situ, the two placements every figure compares,
+take their solvers from the cache.  The others build live solvers:
+in-transit, sampling and Cinema integrate their own 2-D field (a
+restart rebuilds its initial condition from the run's seed), the
+multi-node decomposition mutates solver state directly, and the
+volumetric pipeline runs the 3-D solver.
 """
 
 from __future__ import annotations
@@ -195,7 +198,7 @@ class _ReplaySolver:
         return getattr(self._materialize(), name)
 
 
-#: The process-wide cache all step-and-observe pipelines share.
+#: The process-wide cache the post-processing and in-situ runs share.
 _CACHE = ScienceCache()
 
 

@@ -92,6 +92,88 @@ class TestRequestPathReach:
             f.format() for f in result.findings]
 
 
+
+#: Pipeline stages and the function holding each.  Placements call their
+#: stages directly, never through callbacks: a stage handed over as a
+#: callback (``simulate=...``) is a reference, not a call, so the call
+#: graph would lose it and GL6 would miss an impure stage.
+PIPELINE_STAGES = [
+    ("pipelines/loop.py", "PipelineLoop.iterations"),      # simulate
+    ("pipelines/loop.py", "PipelineLoop.dump"),
+    ("pipelines/loop.py", "PipelineLoop.checkpoint"),
+    ("pipelines/loop.py", "PipelineLoop.save_frame"),
+    ("pipelines/loop.py", "PipelineLoop.io"),              # fault path
+    ("pipelines/insitu.py", "insitu_frame"),               # shared frame stage
+    ("pipelines/post.py", "PostProcessingPipeline._read_back"),
+    ("pipelines/cluster.py", "_DecomposedSolver.step"),
+    ("sim/heat3d.py", "HeatSolver3D.step"),                # volumetric's step
+]
+
+PIPELINE_CLASSES = {
+    "PostProcessingPipeline", "InSituPipeline", "InTransitPipeline",
+    "SamplingInSituPipeline", "ClusterInSituPipeline", "CinemaPipeline",
+    "VolumetricInSituPipeline",
+}
+
+
+def _function(source: str, qualname: str) -> ast.FunctionDef:
+    """The definition of ``qualname`` (``name`` or ``Class.name``)."""
+    body = ast.parse(source).body
+    *owner, name = qualname.split(".")
+    if owner:
+        body = next(node for node in body if isinstance(node, ast.ClassDef)
+                    and node.name == owner[0]).body
+    return next(node for node in body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def _inject_clock_read(path, qualname: str) -> None:
+    """Make ``qualname`` in ``path`` read the wall clock first."""
+    source = path.read_text()
+    func = _function(source, qualname)
+    first = func.body[1] if ast.get_docstring(func) else func.body[0]
+    indent = " " * first.col_offset
+    lines = source.splitlines(keepends=True)
+    lines[first.lineno - 1:first.lineno - 1] = [
+        f"{indent}import time\n", f"{indent}time.time()\n"]
+    path.write_text("".join(lines))
+
+
+class TestPipelineStageReach:
+    """GL6 reaches every stage of the one pipeline loop from a pipeline
+    ``run()``, so a wall-clock read in any of them is reported."""
+
+    @pytest.fixture(scope="class")
+    def injected(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("reach") / "repro"
+        shutil.copytree(SRC, root)
+        for module, qualname in PIPELINE_STAGES:
+            _inject_clock_read(root / module, qualname)
+        # The line of each read, once every injection has shifted its file.
+        lines = {(module, qualname): next(
+            node.lineno for node in ast.walk(_function(
+                (root / module).read_text(), qualname))
+            if isinstance(node, ast.Call)
+            and ast.unparse(node) == "time.time()")
+            for module, qualname in PIPELINE_STAGES}
+        findings = lint_paths([str(root)], select=["GL6"]).findings
+        return lines, findings
+
+    @pytest.mark.parametrize("module, qualname", PIPELINE_STAGES)
+    def test_injected_clock_read_is_reported(self, injected, module,
+                                             qualname):
+        lines, findings = injected
+        reported = [f for f in findings
+                    if f.path.endswith(os.path.join(*module.split("/")))
+                    and f.line == lines[module, qualname]]
+        assert len(reported) == 1, [f.format() for f in findings]
+        message = reported[0].message
+        assert f"wall-clock call time.time() in {qualname} " in message
+        root = message.split("reachable from ", 1)[1].split("()", 1)[0]
+        cls, method = root.rsplit(".", 1)
+        assert (cls, method) in {(c, "run") for c in PIPELINE_CLASSES}, message
+
+
 class TestLintCache:
     def test_round_trip_hits_and_identical_findings(self, tmp_path):
         mod = tmp_path / "m.py"

@@ -16,6 +16,15 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== placement benches (energy shapes of the extension placements) =="
+# testpaths is tests/, so no other stage runs these.  Each asserts the
+# energy shape of a placement family (sampling hybrid, cluster strong
+# scaling, Cinema image database, 3-D ray-casting, deep-memory dump
+# staging); together they take about 12 s and write no files.
+python -m pytest -q benchmarks/bench_abl_sampling.py \
+    benchmarks/bench_abl_cluster_scaling.py benchmarks/bench_ext_cinema.py \
+    benchmarks/bench_ext_volume3d.py benchmarks/bench_ext_deepmem.py
+
 echo "== greenlint (strict: warnings fail too) =="
 python -m repro.cli lint --strict src/repro
 
