@@ -200,9 +200,10 @@ class InterruptState:
     Carried on :class:`~repro.errors.PipelineInterrupted` so a resilient
     runner can repair the device and re-enter ``pipeline.run(...,
     resume=state)``.  ``iteration`` is the last *durable* iteration (post
-    phase 1: last synced dump; in-situ: last checkpoint) or, in the read
-    phase, the last fully visualized timestep.  The surviving filesystem
-    keeps all committed files and the queue's cumulative fault counters.
+    phase 1: last synced dump; in-situ: last checkpoint; 0 for placements
+    with no durable files) or, in post's read phase, the last fully
+    visualized timestep.  The surviving filesystem keeps all committed
+    files and the queue's cumulative fault counters.
     """
 
     pipeline: str

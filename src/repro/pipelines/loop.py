@@ -43,7 +43,12 @@ from repro.trace.timeline import Timeline
 
 
 class PipelineLoop:
-    """One attempt at one placement's run on one node."""
+    """One attempt at one placement's run on one node.
+
+    ``resume`` continues an interrupted attempt on its surviving storage;
+    a fresh run builds storage unless ``storage`` is False (placements
+    that never touch a disk) and starts in ``phase``.
+    """
 
     def __init__(self, pipeline, node: Node, rng: RngRegistry | None,
                  resume: InterruptState | None, *, storage: bool = True,
@@ -95,7 +100,8 @@ class PipelineLoop:
         Starts past the last durable iteration, after restoring the field
         there: replayed from the trajectory cache or integrated again
         (the restart span already charged the checkpoint read).  Each
-        step is priced as one simulation span; ``nodes`` splits it over a
+        step is priced as one simulation span of ``work_scale`` (default:
+        the config's grid-scale factor); ``nodes`` splits it over a
         symmetric cluster.
         """
         cal = self.stages["simulation"]
@@ -180,7 +186,7 @@ class PipelineLoop:
         the run's last durable iteration.
         """
         name = writer.filename(iteration)
-        if self.fs.exists(name):
+        if self.fs.exists(name):  # a run restarted at iteration 0 redumps
             self.fs.delete(name)
         with self.io(iteration, discard=name):
             report = writer.write_timestep(grid, iteration,

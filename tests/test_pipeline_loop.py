@@ -78,24 +78,17 @@ class TestStageOverrides:
 
 
 class TestRetryPolicy:
-    @pytest.mark.parametrize("pipeline_cls,retries,recoveries", [
-        (PostProcessingPipeline, 8, 7),
-        (SamplingInSituPipeline, None, None),
-    ])
-    def test_transient_faults_are_retried_and_priced(self, pipeline_cls,
-                                                     retries, recoveries):
-        node, device = faulty_node(FaultSpec(seed=2015, transient_rate=0.05))
+    def test_sampled_retries_transient_faults_and_prices_them(self):
+        node, _ = faulty_node(FaultSpec(seed=2015, transient_rate=0.05))
         config = PipelineConfig(case=CASE_STUDIES[1],
                                 retry_policy=RetryPolicy())
         result = PipelineRunner(node=node, seed=2015).run(
-            pipeline_cls(config))
+            SamplingInSituPipeline(config))
         recovery = [s for s in result.timeline if s.stage == "recovery"]
         assert recovery and result.verification.ok
         assert sum(s.meta["retries"] for s in recovery) > 0
-        assert all(s.activity.disk_bytes_per_s == 0 for s in recovery)
-        if retries is not None:
-            assert result.extra["io_retries"] == retries
-            assert len(recovery) == recoveries
+        assert all(s.duration > 0 and s.activity.disk_bytes_per_s == 0
+                   for s in recovery)
 
 
 class TestResilientRunner:
