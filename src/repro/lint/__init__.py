@@ -52,11 +52,15 @@ over the same graph, powering the lifecycle rules in
 * experiment-reachable code reads no ambient state the sha256
   ``cache_key``/``lab_snapshot_key`` never digests (GL18).
 
-Known pre-existing findings live in ``tools/greenlint-baseline.json``
-and are subtracted by ``repro lint --baseline`` (see
-:mod:`repro.lint.baseline`).  ``repro lint`` reuses per-file work via a
-content-keyed cache (:mod:`repro.lint.cache`); ``--no-cache`` bypasses
-it.
+All of these rules read one fact pass: the graph's walk of each module
+(:func:`repro.lint.graph.summarize_module`) records every per-function
+fact they need, and the whole-program analyses run over the merged
+summaries.  ``repro lint`` reuses per-file work — the file-scope rules
+(GL1–GL5 and GL13) and each module's summary — via a content-keyed
+cache (:mod:`repro.lint.cache`); ``--no-cache`` bypasses it.  Known
+pre-existing findings live in ``tools/greenlint-baseline.json`` and are
+subtracted by ``repro lint --baseline`` (see
+:mod:`repro.lint.baseline`).
 
 Run it with ``repro lint [paths...]`` or programmatically::
 

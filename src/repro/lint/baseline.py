@@ -7,7 +7,9 @@ violations immediately while pre-existing ones stay visible (counted,
 listed in the file, reviewable) instead of blocking the rollout.
 
 Matching is by ``(code, path, message)`` — deliberately not by line, so
-unrelated edits above a baselined finding do not invalidate it.  Paths
+unrelated edits above a baselined finding do not invalidate it.  Line
+numbers a message quotes (``"defined line 80"``) are masked to
+``line N`` on both sides for the same reason.  Paths
 are normalized (relative to the working directory where possible, POSIX
 separators) so the same baseline works across checkouts and operating
 systems.  The match is exact in multiset terms: every baseline entry
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from collections import Counter
 from dataclasses import replace
 from typing import Iterable
@@ -30,6 +33,13 @@ from repro.lint.engine import Finding, LintResult
 BASELINE_VERSION = 1
 
 BaselineKey = tuple[str, str, str]
+
+#: A source line a message cites, e.g. "acquired at line 12".
+_LINE_RE = re.compile(r"\bline \d+")
+
+
+def _mask_lines(message: str) -> str:
+    return _LINE_RE.sub("line N", message)
 
 
 def normalize_path(path: str) -> str:
@@ -43,7 +53,8 @@ def normalize_path(path: str) -> str:
 
 def finding_key(finding: Finding) -> BaselineKey:
     """The identity a baseline entry matches on."""
-    return (finding.code, normalize_path(finding.path), finding.message)
+    return (finding.code, normalize_path(finding.path),
+            _mask_lines(finding.message))
 
 
 def finding_records(findings: Iterable[Finding], *,
@@ -86,7 +97,7 @@ def load_baseline(path: str) -> Counter[BaselineKey]:
     for i, entry in enumerate(doc["entries"]):
         try:
             key = (str(entry["code"]), str(entry["path"]),
-                   str(entry["message"]))
+                   _mask_lines(str(entry["message"])))
         except (TypeError, KeyError) as exc:
             raise ConfigError(
                 f"baseline {path} entry {i} lacks code/path/message") from exc

@@ -2,9 +2,10 @@
 
 ``repro lint`` re-lints the whole tree on every invocation; most of
 that work is per-file and purely content-determined — the file-scope
-rules (GL1–GL5) and the module's :class:`~repro.lint.graph.ModuleSummary`
-are functions of the source text plus a small amount of project state.
-This module persists exactly that unit under ``tools/out/lint-cache/``:
+rules (GL1–GL5, and GL13, which reads only its own module) and the
+module's :class:`~repro.lint.graph.ModuleSummary` are functions of the
+source text plus a small amount of project state.  This module persists
+exactly that unit under ``tools/out/lint-cache/``:
 
 * the key is ``sha256(salt + path + source)``, where the salt (computed
   by the engine) folds in the selected file-scope rules, the project
@@ -17,15 +18,21 @@ This module persists exactly that unit under ``tools/out/lint-cache/``:
   re-walking the AST — in a sha256-checked :mod:`repro.integrity`
   frame.
 
-Whole-program state (graph analyses, the dataflow fixpoint, the
-project-scope rules GL6–GL14) is never cached: it depends on every
-file, and recomputing it is what the per-file savings pay for.
+The summary carries every per-function fact the whole-program rules
+read (calls, locks, writes, raises, reads, loop spans, annotations).
+What is never cached is what depends on every file: the analyses over
+the merged summaries (reachability, lock order, the dimension fixpoint,
+GL15's typestate walk, effect propagation) and the project-scope rules
+GL6–GL12 and GL14–GL18 that report them.
 
 An entry is unpickled only after its frame's digest checks out, and any
 corrupt, truncated, foreign or unreadable entry is a miss that the next
 store overwrites; writes go through a temp file and ``os.replace`` so a
-killed run never leaves a torn entry behind.  ``repro lint --no-cache``
-bypasses the cache entirely.
+killed run never leaves a torn entry behind.  Each salt writes a full
+set of entries, so every run that stores one calls :meth:`LintCache.
+prune`, which drops the least recently used entries beyond
+:data:`MAX_ENTRIES`.  ``repro lint --no-cache`` bypasses the cache
+entirely.
 """
 
 from __future__ import annotations

@@ -99,18 +99,17 @@ Summary = AbsVal
 class DimDataflow:
     """Whole-program dimension summaries plus the mismatches they expose.
 
-    Construction only indexes the per-function ASTs; the fixpoint and
-    the event sweep run lazily on first use, so ``--select`` runs that
-    skip GL11/GL12 pay nothing.
+    Construction only gathers the per-function ASTs from each module's
+    index; the fixpoint and the event sweep run lazily on first use, so
+    ``--select`` runs that skip GL11/GL12 pay nothing.
     """
 
     def __init__(self, graph: ProjectGraph,
                  modules: Iterable[ModuleContext]) -> None:
         self.graph = graph
-        #: qualname -> (function node, module path)
-        self._nodes: dict[str, tuple[ast.AST, str]] = {}
-        for ctx in modules:
-            _index_functions(ctx.path, ctx.tree, self._nodes)
+        #: qualname -> function node, from each module's shared index.
+        self._nodes = {qual: node for ctx in modules
+                       for qual, node in ctx.function_nodes.items()}
         self._summaries: dict[str, Summary] | None = None
         self._events: list[DimEvent] | None = None
 
@@ -152,18 +151,16 @@ class DimDataflow:
         for _ in range(MAX_PASSES):
             nxt: dict[str, Summary] = {}
             self._summaries = table  # summary_for_call reads the old pass
-            for qual, (node, module) in self._nodes.items():
-                interp = _Interp(self, module, qual)
-                nxt[qual] = interp.summarize(node)
+            for qual, node in self._nodes.items():
+                nxt[qual] = _Interp(self, qual).summarize(node)
             if nxt == table:
                 break
             table = nxt
         self._summaries = table
         # Event sweep: one more interpretation with recording on.
         events: list[DimEvent] = []
-        for qual, (node, module) in self._nodes.items():
-            interp = _Interp(self, module, qual, events=events)
-            interp.summarize(node)
+        for qual, node in self._nodes.items():
+            _Interp(self, qual, events=events).summarize(node)
         seen: set[tuple] = set()
         unique: list[DimEvent] = []
         for e in sorted(events, key=lambda e: (
@@ -176,34 +173,6 @@ class DimDataflow:
         self._events = unique
 
 
-def _index_functions(path: str, tree: ast.Module,
-                     out: dict[str, tuple[ast.AST, str]]) -> None:
-    """Index functions under the same qualname scheme the graph uses."""
-
-    class Indexer(ast.NodeVisitor):
-        def __init__(self) -> None:
-            self.class_stack: list[str] = []
-
-        def visit_ClassDef(self, node: ast.ClassDef) -> None:
-            self.class_stack.append(node.name)
-            self.generic_visit(node)
-            self.class_stack.pop()
-
-        def _register(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
-                      ) -> None:
-            if self.class_stack:
-                qual = f"{path}::{self.class_stack[-1]}.{node.name}"
-            else:
-                qual = f"{path}::{node.name}"
-            out[qual] = (node, path)  # last definition wins, like the graph
-            self.generic_visit(node)
-
-        visit_FunctionDef = _register  # type: ignore[assignment]
-        visit_AsyncFunctionDef = _register  # type: ignore[assignment]
-
-    Indexer().visit(tree)
-
-
 # ---------------------------------------------------------------------------
 # The abstract interpreter
 # ---------------------------------------------------------------------------
@@ -211,10 +180,10 @@ def _index_functions(path: str, tree: ast.Module,
 class _Interp:
     """Abstractly execute one function body over the dimension domain."""
 
-    def __init__(self, flow: DimDataflow, module: str, qualname: str,
+    def __init__(self, flow: DimDataflow, qualname: str,
                  events: list[DimEvent] | None = None) -> None:
         self.flow = flow
-        self.module = module
+        self.module = qualname.rsplit("::", 1)[0]
         self.qualname = qualname
         self.events = events
         self.returns: list[AbsVal] = []
@@ -222,8 +191,8 @@ class _Interp:
 
     # -- entry --------------------------------------------------------------
 
-    def summarize(self, node: ast.AST) -> Summary:
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    def summarize(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
+                  ) -> Summary:
         env: dict[str, AbsVal] = {}
         args = node.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
@@ -458,7 +427,7 @@ class _Interp:
             if stmt.value is not None:
                 self._assign(stmt.target, self.eval(stmt.value, env), env)
         elif isinstance(stmt, ast.AugAssign):
-            tv = self.eval(_as_load(stmt.target), env)
+            tv = self.eval(stmt.target, env)
             vv = self.eval(stmt.value, env)
             if (isinstance(stmt.op, (ast.Add, ast.Sub))
                     and _known(tv.dim) and _known(vv.dim)
@@ -570,9 +539,3 @@ class _Interp:
     def _clear(self, target: ast.expr, env: dict[str, AbsVal]) -> None:
         self._assign(target, UNKNOWN, env)
 
-
-def _as_load(target: ast.expr) -> ast.expr:
-    """A Store-context node reinterpreted for reading (x += e reads x)."""
-    clone = ast.copy_location(
-        ast.parse(ast.unparse(target), mode="eval").body, target)
-    return clone

@@ -1,8 +1,9 @@
 """The dataflow-powered greenlint rules (GL11–GL14).
 
 Where GL1–GL5 check what one expression shows and GL6–GL10 check what
-the call graph shows, these rules consume the two semantic analyses
-layered on top of the graph:
+the call graph shows, these rules consume the semantic analyses
+layered on top of the graph (GL13 reads only its own module's summary,
+so it is a file-scope rule served from the per-file cache):
 
 GL11
     Interprocedural unit mismatch.  The abstract interpreter in
@@ -28,7 +29,8 @@ GL13
     two of four parts silently drops accounted time or energy from the
     paper's totals.  Reading the record's own total field instead, or
     handling the remaining components elsewhere in the function, both
-    count as accounting.
+    count as accounting.  Each function is checked over its own body; a
+    nested function sees the enclosing functions' types.
 GL14
     Static race detection (Eraser-style lockset analysis).  Thread
     entry roots are enumerated structurally — ``do_*`` HTTP handler
@@ -47,13 +49,21 @@ from __future__ import annotations
 
 import ast
 import re
+from functools import cached_property
 from typing import Iterator
 
 from repro.lint.dataflow import DimDataflow, DimEvent
 from repro.lint.dims import dim_name
 from repro.lint.engine import Finding, ModuleContext, rule
-from repro.lint.graph import FunctionInfo, ProjectGraph, _outer_annotation_name
-from repro.lint.graph_rules import _CONSTRUCTION_METHODS, _graph, _short
+from repro.lint.graph import (
+    ClassInfo,
+    FunctionInfo,
+    ProjectGraph,
+    _call_name,
+    _outer_annotation_name,
+    _short,
+)
+from repro.lint.graph_rules import _CONSTRUCTION_METHODS, _graph
 
 # ---------------------------------------------------------------------------
 # GL11 / GL12: interprocedural dimension checks
@@ -142,41 +152,56 @@ _GROUP_BY_OWNER = {owner: (frozenset(parts), total)
                    for owner, parts, total in _COMPONENT_GROUPS}
 
 
-class _SumScanner:
-    """Find partial component sums in one function body."""
+def _own_nodes(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> list[ast.AST]:
+    """``ast.walk(fn)`` without nested functions, which scan themselves."""
+    nodes: list[ast.AST] = [fn]
+    for node in nodes:  # breadth-first, as ast.walk yields
+        nodes.extend(child for child in ast.iter_child_nodes(node)
+                     if not isinstance(child, (ast.FunctionDef,
+                                               ast.AsyncFunctionDef)))
+    return nodes
 
-    def __init__(self, graph: ProjectGraph, module: str,
+
+class _SumScanner:
+    """Find partial component sums in one function's own body.
+
+    A nested function is scanned on its own and sees the enclosing
+    functions' types, as a closure sees their names.
+    """
+
+    def __init__(self, classes: dict[str, list[ClassInfo]],
                  fn: ast.FunctionDef | ast.AsyncFunctionDef,
-                 cls_name: str | None) -> None:
-        self.graph = graph
-        self.module = module
+                 cls_name: str | None, outer: dict[str, str]) -> None:
+        self.classes = classes
         self.fn = fn
         self.cls_name = cls_name
-        #: local/param name -> class name, flow-insensitive.
-        self.types: dict[str, str] = {}
-        #: receiver source text -> every attribute read on it in the body.
-        self.reads: dict[str, set[str]] = {}
-        self._collect()
-
-    def _collect(self) -> None:
-        args = self.fn.args
+        self.nodes = _own_nodes(fn)
+        #: local/param name -> class name, flow-insensitive; the last
+        #: constructor assignment in walk order wins.
+        self.types = dict(outer)
+        args = fn.args
         for a in (*args.posonlyargs, *args.args, *args.kwonlyargs):
             name = _outer_annotation_name(a.annotation)
-            if name is not None:
+            if name is None:
+                self.types.pop(a.arg, None)
+            else:
                 self.types[a.arg] = name
-        for node in ast.walk(self.fn):
-            if isinstance(node, ast.Assign) and isinstance(node.value,
-                                                           ast.Call):
-                func = node.value.func
-                ctor = func.attr if isinstance(func, ast.Attribute) else (
-                    func.id if isinstance(func, ast.Name) else None)
+        for node in self.nodes:
+            if isinstance(node, ast.Assign):
+                ctor = _call_name(node.value)
                 if ctor is not None and ctor[:1].isupper():
                     for target in node.targets:
                         if isinstance(target, ast.Name):
                             self.types[target.id] = ctor
-            elif isinstance(node, ast.Attribute):
-                recv = ast.unparse(node.value)
-                self.reads.setdefault(recv, set()).add(node.attr)
+
+    @cached_property
+    def reads(self) -> dict[str, set[str]]:
+        """Receiver source text -> every attribute read on it."""
+        out: dict[str, set[str]] = {}
+        for node in self.nodes:
+            if isinstance(node, ast.Attribute):
+                out.setdefault(ast.unparse(node.value), set()).add(node.attr)
+        return out
 
     def _receiver_type(self, expr: ast.expr) -> str | None:
         if isinstance(expr, ast.Name):
@@ -184,31 +209,22 @@ class _SumScanner:
         if (isinstance(expr, ast.Attribute)
                 and isinstance(expr.value, ast.Name)
                 and expr.value.id == "self" and self.cls_name is not None):
-            for cls in self.graph.classes.get(self.cls_name, ()):
-                if cls.module == self.module:
-                    typed = cls.attr_types.get(expr.attr)
-                    if typed is not None:
-                        return typed
+            for cls in self.classes.get(self.cls_name, ()):
+                typed = cls.attr_types.get(expr.attr)
+                if typed is not None:
+                    return typed
         return None
 
     def findings(self) -> Iterator[tuple[int, int, str]]:
         """(line, col, message) per partial component sum."""
-        for chain in self._add_chains():
-            yield from self._check_chain(chain)
-
-    def _add_chains(self) -> Iterator[ast.BinOp]:
-        """Maximal ``a + b + c`` chains (outermost Add per chain)."""
-        inner: set[int] = set()
-        for node in ast.walk(self.fn):
-            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-                for child in (node.left, node.right):
-                    if (isinstance(child, ast.BinOp)
-                            and isinstance(child.op, ast.Add)):
-                        inner.add(id(child))
-        for node in ast.walk(self.fn):
-            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
-                    and id(node) not in inner):
-                yield node
+        # Maximal ``a + b + c`` chains: the outermost Add of each.
+        adds = [node for node in self.nodes if isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Add)]
+        inner = {id(child) for node in adds
+                 for child in (node.left, node.right)}
+        for node in adds:
+            if id(node) not in inner:
+                yield from self._check_chain(node)
 
     @staticmethod
     def _terms(chain: ast.BinOp) -> Iterator[ast.expr]:
@@ -252,15 +268,17 @@ class _SumScanner:
                    f"{total} or include every component)")
 
 
-@rule("GL13", "static energy conservation", scope="project")
+@rule("GL13", "static energy conservation")
 def check_component_sums(ctx: ModuleContext) -> Iterator[Finding]:
     """Component sums over accounting records must be complete."""
-    graph = _graph(ctx)
+    classes = ctx.summary.classes
     findings: list[Finding] = []
 
     class Walker(ast.NodeVisitor):
         def __init__(self) -> None:
             self.class_stack: list[str] = []
+            #: types of the enclosing function scopes, innermost last.
+            self.scopes: list[dict[str, str]] = [{}]
 
         def visit_ClassDef(self, node: ast.ClassDef) -> None:
             self.class_stack.append(node.name)
@@ -270,12 +288,14 @@ def check_component_sums(ctx: ModuleContext) -> Iterator[Finding]:
         def _function(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                       ) -> None:
             cls = self.class_stack[-1] if self.class_stack else None
-            scanner = _SumScanner(graph, ctx.path, node, cls)
+            scanner = _SumScanner(classes, node, cls, self.scopes[-1])
             for line, col, message in scanner.findings():
                 findings.append(Finding(
                     code="GL13", severity="error", path=ctx.path,
                     line=line, col=col, message=message))
+            self.scopes.append(scanner.types)
             self.generic_visit(node)
+            self.scopes.pop()
 
         visit_FunctionDef = _function  # type: ignore[assignment]
         visit_AsyncFunctionDef = _function  # type: ignore[assignment]
@@ -343,20 +363,14 @@ def _always_held(graph: ProjectGraph,
     work = [root]
     while work:
         qual = work.pop()
-        f = graph.functions.get(qual)
-        if f is None:
-            continue
         base = held[qual]
-        for site in f.calls:
-            if site.is_attr and site.recv_type is None:
-                continue
+        for site, target in graph.edges(qual, confident=True):
             entering = base | frozenset(site.held_locks)
-            for target in graph.resolve(f, site):
-                cur = held.get(target.qualname)
-                new = entering if cur is None else (cur & entering)
-                if cur is None or new != cur:
-                    held[target.qualname] = new
-                    work.append(target.qualname)
+            cur = held.get(target)
+            new = entering if cur is None else (cur & entering)
+            if cur is None or new != cur:
+                held[target] = new
+                work.append(target)
     return held
 
 

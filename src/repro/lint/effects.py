@@ -9,8 +9,11 @@ cached computation reads without digesting it into its cache key.
 :class:`EffectAnalysis` follows the :class:`~repro.lint.dataflow.DimDataflow`
 idiom — constructed eagerly by the engine with ``(graph, modules)``,
 computing everything lazily on first query, so runs that select none of
-GL15–GL18 pay nothing.  Four lazily-memoized products back the four
-lifecycle rules:
+GL15–GL18 pay nothing.  Its facts are the ones the graph's module walk
+already put in each function summary (raises, reads, writes, loops,
+annotations), so a cache hit brings them along; only GL15's typestate
+walk reads function bodies.  Four lazily-memoized products back the
+four lifecycle rules:
 
 * **resource findings (GL15)** — an intraprocedural typestate automaton
   (OPEN → RELEASED / ESCAPED) per function over a table of must-release
@@ -37,28 +40,32 @@ lifecycle rules:
 Only confidently-resolved call edges (typed receivers, protocol
 dispatch, bare names) propagate facts — the same discipline GL14 uses —
 so an untyped ``obj.read()`` never smears effects across every project
-``read``.
+``read``.  Propagation and reachability go through the graph's generic
+:func:`~repro.lint.graph.propagate` and :func:`~repro.lint.graph.closure`.
 """
 
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from repro.lint.dataflow import _index_functions
-from repro.lint.graph import CallSite, FunctionInfo, ProjectGraph
+from repro.lint.graph import (
+    _RETRY_MARKERS,
+    CallSite,
+    Frames,
+    FunctionInfo,
+    ProjectGraph,
+    _call_name,
+    _exc_names,
+    _short,
+    closure,
+    propagate,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleContext
-
-#: ``# gl: idempotent`` — declares a function safe to re-execute under a
-#: retry loop even though it mutates state (e.g. per-attempt counters).
-_IDEMPOTENT_RE = re.compile(r"#\s*gl:\s*idempotent\b")
-
-#: Direct markers of a retry-driven loop body.
-_RETRY_MARKERS = frozenset({"backoff_s", "charge_s"})
 
 #: Constructors/factories whose result must eventually be released.
 #: Values are the resource kind used in messages.
@@ -182,249 +189,20 @@ _GL18_MUTATORS = frozenset({
 _DIGEST_FUNCS = frozenset({"cache_key", "lab_snapshot_key",
                            "_testbed_repr"})
 
-_MAX_PASSES = 50
-
 
 # ---------------------------------------------------------------------------
 # Finding payloads (plain data; lifecycle_rules turns them into Findings)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ResourceIssue:
-    """One GL15 leak or missing-teardown witness."""
+class Issue:
+    """One GL15–GL18 witness: a leak, an escape, a retried mutation, or
+    an undigested ambient read."""
 
     module: str
     line: int
     col: int
     message: str
-
-
-@dataclass(frozen=True)
-class EscapeIssue:
-    """One GL16 non-ReproError escape from a worker root."""
-
-    module: str
-    line: int
-    col: int
-    message: str
-
-
-@dataclass(frozen=True)
-class RetryIssue:
-    """One GL17 at-most-once mutation under retry (or stale annotation)."""
-
-    module: str
-    line: int
-    col: int
-    message: str
-
-
-@dataclass(frozen=True)
-class AmbientIssue:
-    """One GL18 undigested ambient-state read on the cached path."""
-
-    module: str
-    line: int
-    col: int
-    message: str
-
-
-# ---------------------------------------------------------------------------
-# Per-function fact collection
-# ---------------------------------------------------------------------------
-
-@dataclass
-class _FnEffects:
-    """Lexical facts about one function body (no propagation yet)."""
-
-    #: (exception name, caught frames active at the raise, line, col)
-    raises: list[tuple[str, tuple[frozenset[str], ...], int, int]] = field(
-        default_factory=list)
-    #: (line, col) of a call -> caught frames active at that call.
-    call_caught: dict[tuple[int, int], tuple[frozenset[str], ...]] = field(
-        default_factory=dict)
-    env_reads: list[tuple[int, int]] = field(default_factory=list)
-    #: name -> first (line, col) it is read at.
-    name_reads: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: ``self.<attr>`` loads anywhere in the body.
-    self_attr_reads: set[str] = field(default_factory=set)
-    #: (receiver name, method) for every ``name.method(...)`` call.
-    recv_calls: set[tuple[str, str]] = field(default_factory=set)
-    #: names rebound under a ``global`` declaration, plus subscript
-    #: stores through a bare name (``G[k] = v``).
-    global_writes: set[str] = field(default_factory=set)
-    #: (header line, body end line) of each retry-marker loop.
-    retry_loops: list[tuple[int, int]] = field(default_factory=list)
-    #: loops that bound themselves with ``max_attempts`` but carry no
-    #: lexical backoff call; resolved against callee markers later.
-    candidate_loops: list[tuple[int, int]] = field(default_factory=list)
-    has_retry_marker: bool = False
-
-
-def _exc_names(node: ast.expr | None) -> frozenset[str]:
-    """Exception class names an ``except`` clause catches."""
-    if node is None:
-        return frozenset({"BaseException"})
-    if isinstance(node, ast.Tuple):
-        out: set[str] = set()
-        for elt in node.elts:
-            out |= _exc_names(elt)
-        return frozenset(out)
-    if isinstance(node, ast.Name):
-        return frozenset({node.id})
-    if isinstance(node, ast.Attribute):
-        return frozenset({node.attr})
-    return frozenset()
-
-
-def _call_name(node: ast.Call) -> str | None:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
-class _EffectVisitor(ast.NodeVisitor):
-    """Walk one function body collecting :class:`_FnEffects`."""
-
-    def __init__(self) -> None:
-        self.out = _FnEffects()
-        self._caught: list[frozenset[str]] = []
-        #: (handler exception names, bound variable name) innermost-last.
-        self._handlers: list[tuple[frozenset[str], str | None]] = []
-        self._globals: set[str] = set()
-
-    def run(self, fn: ast.FunctionDef | ast.AsyncFunctionDef) -> _FnEffects:
-        for stmt in fn.body:
-            self.visit(stmt)
-        return self.out
-
-    # Nested callables are indexed and walked on their own.
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        pass
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        pass
-
-    def visit_Lambda(self, node: ast.Lambda) -> None:
-        pass
-
-    # -- exception lexicality ----------------------------------------------
-
-    def visit_Try(self, node: ast.Try) -> None:
-        union: set[str] = set()
-        for handler in node.handlers:
-            union |= _exc_names(handler.type)
-        self._caught.append(frozenset(union))
-        for stmt in node.body:
-            self.visit(stmt)
-        self._caught.pop()
-        for handler in node.handlers:
-            self._handlers.append((_exc_names(handler.type), handler.name))
-            for stmt in handler.body:
-                self.visit(stmt)
-            self._handlers.pop()
-        for stmt in (*node.orelse, *node.finalbody):
-            self.visit(stmt)
-
-    visit_TryStar = visit_Try  # type: ignore[assignment]
-
-    def _raised_names(self, exc: ast.expr | None) -> frozenset[str]:
-        if exc is None:
-            # Bare re-raise: whatever the innermost handler caught.
-            if self._handlers:
-                return self._handlers[-1][0]
-            return frozenset()
-        if isinstance(exc, ast.Call):
-            name = _call_name(exc)
-            return frozenset({name}) if name else frozenset()
-        if isinstance(exc, ast.Name):
-            if (self._handlers and exc.id == self._handlers[-1][1]):
-                return self._handlers[-1][0]
-            # A dynamically-bound exception object: class unknown, and
-            # guessing "Exception" here would flag every re-raise
-            # helper, so stay silent.
-            return frozenset()
-        if isinstance(exc, ast.Attribute):
-            return frozenset({exc.attr})
-        return frozenset()
-
-    def visit_Raise(self, node: ast.Raise) -> None:
-        frames = tuple(self._caught)
-        for name in sorted(self._raised_names(node.exc)):
-            self.out.raises.append((name, frames, node.lineno,
-                                    node.col_offset))
-        self.generic_visit(node)
-
-    def visit_Assert(self, node: ast.Assert) -> None:
-        self.out.raises.append(("AssertionError", tuple(self._caught),
-                                node.lineno, node.col_offset))
-        self.generic_visit(node)
-
-    # -- calls, reads, writes ----------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        if self._caught:
-            self.out.call_caught[(node.lineno, node.col_offset)] = tuple(
-                self._caught)
-        name = _call_name(node)
-        if name in _RETRY_MARKERS:
-            self.out.has_retry_marker = True
-        if name == "getenv":
-            self.out.env_reads.append((node.lineno, node.col_offset))
-        if (isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)):
-            self.out.recv_calls.add((node.func.value.id, node.func.attr))
-        self.generic_visit(node)
-
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "environ":
-            self.out.env_reads.append((node.lineno, node.col_offset))
-        if (isinstance(node.value, ast.Name) and node.value.id == "self"
-                and isinstance(node.ctx, ast.Load)):
-            self.out.self_attr_reads.add(node.attr)
-        self.generic_visit(node)
-
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.out.name_reads.setdefault(
-                node.id, (node.lineno, node.col_offset))
-        elif node.id in self._globals:
-            self.out.global_writes.add(node.id)
-
-    def visit_Global(self, node: ast.Global) -> None:
-        self._globals.update(node.names)
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if (isinstance(node.ctx, (ast.Store, ast.Del))
-                and isinstance(node.value, ast.Name)):
-            self.out.global_writes.add(node.value.id)
-        self.generic_visit(node)
-
-    # -- retry loops --------------------------------------------------------
-
-    def _loop(self, node: ast.For | ast.While, bound: ast.expr) -> None:
-        end = getattr(node, "end_lineno", node.lineno) or node.lineno
-        span = (node.lineno, end)
-        direct = any(
-            isinstance(sub, ast.Call) and _call_name(sub) in _RETRY_MARKERS
-            for sub in ast.walk(node))
-        bounded = any(
-            (isinstance(sub, ast.Attribute) and sub.attr == "max_attempts")
-            or (isinstance(sub, ast.Name) and sub.id == "max_attempts")
-            for sub in ast.walk(bound))
-        if direct or bounded:
-            self.out.retry_loops.append(span)
-        else:
-            self.out.candidate_loops.append(span)
-        self.generic_visit(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._loop(node, node.iter)
-
-    def visit_While(self, node: ast.While) -> None:
-        self._loop(node, node.test)
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +237,7 @@ class _Typestate:
         self.analysis = analysis
         self.info = info
         self.fn = fn
-        self.issues: list[ResourceIssue] = []
+        self.issues: list[Issue] = []
         #: ``self.<attr>`` ownerships recorded while walking.
         self.owned: dict[str, tuple[str, int]] = {}
         self._sites = {(s.lineno, s.col): s for s in info.calls}
@@ -482,8 +260,8 @@ class _Typestate:
         kind = _RESOURCE_CTORS.get(name)
         if kind is not None:
             return kind
-        if name in self.analysis._resource_classes():
-            return self.analysis._resource_classes()[name]
+        if name in self.analysis._resource_classes:
+            return self.analysis._resource_classes[name]
         site = self._sites.get((node.lineno, node.col_offset))
         if site is not None:
             return self.analysis._returner_kind(self.info, site)
@@ -493,7 +271,7 @@ class _Typestate:
         if res.reported:
             return
         res.reported = True
-        self.issues.append(ResourceIssue(
+        self.issues.append(Issue(
             module=self.info.module, line=line, col=0,
             message=f"{res.kind} '{res.var}' acquired at line {res.line} "
                     f"{why}"))
@@ -719,7 +497,7 @@ class _Typestate:
                 and func.attr not in _RELEASE_METHODS):
             kind = self._acq_kind(func.value)
             if kind is not None:
-                self.issues.append(ResourceIssue(
+                self.issues.append(Issue(
                     module=self.info.module, line=call.lineno,
                     col=call.col_offset,
                     message=f"a {kind} is created and immediately "
@@ -842,150 +620,71 @@ class _Typestate:
 # ---------------------------------------------------------------------------
 
 class EffectAnalysis:
-    """Lazy whole-program resource/effect analysis behind GL15–GL18."""
+    """Lazy whole-program resource/effect analysis behind GL15–GL18.
+
+    Every fact comes from the function summaries in the graph; only
+    GL15's typestate walk reads function bodies.  Each table is computed
+    on first use and memoized.
+    """
 
     def __init__(self, graph: ProjectGraph,
                  modules: Iterable["ModuleContext"],
                  error_classes: Iterable[str] = ()) -> None:
         self.graph = graph
         self.error_classes = frozenset(error_classes)
-        self._nodes: dict[str, tuple[ast.AST, str]] = {}
-        self._trees: list[tuple[str, ast.Module, str]] = []
-        for ctx in modules:
-            _index_functions(ctx.path, ctx.tree, self._nodes)
-            self._trees.append((ctx.path, ctx.tree, ctx.source))
-        self._fn_effects: dict[str, _FnEffects] | None = None
-        self._idempotent: dict[str, int] | None = None
-        self._exc_parent: dict[str, str] | None = None
-        self._escape_table: (
-            dict[str, dict[str, tuple[str, int]]] | None) = None
-        self._res_classes: dict[str, str] | None = None
-        self._returners: dict[str, str] | None = None
-        self._markers: frozenset[str] | None = None
-        self._resource_issues: list[ResourceIssue] | None = None
-        self._escape_issues: list[EscapeIssue] | None = None
-        self._retry_issues: list[RetryIssue] | None = None
-        self._ambient_issues: list[AmbientIssue] | None = None
+        #: qualname -> function node, for GL15's typestate walk.
+        self._nodes = {qual: node for ctx in modules
+                       for qual, node in ctx.function_nodes.items()}
 
-    # -- public API ---------------------------------------------------------
-
-    def resource_issues(self) -> list[ResourceIssue]:
-        if self._resource_issues is None:
-            self._resource_issues = self._run_gl15()
-        return self._resource_issues
-
-    def escape_issues(self) -> list[EscapeIssue]:
-        if self._escape_issues is None:
-            self._escape_issues = self._run_gl16()
-        return self._escape_issues
-
-    def retry_issues(self) -> list[RetryIssue]:
-        if self._retry_issues is None:
-            self._retry_issues = self._run_gl17()
-        return self._retry_issues
-
-    def ambient_issues(self) -> list[AmbientIssue]:
-        if self._ambient_issues is None:
-            self._ambient_issues = self._run_gl18()
-        return self._ambient_issues
+    def _edges(self, qual: str) -> list[tuple[CallSite, str]]:
+        """Confidently-resolved call edges (GL14's discipline)."""
+        return self.graph.edges(qual, confident=True)
 
     # -- shared lazy tables -------------------------------------------------
 
-    def effects_of(self, qual: str) -> _FnEffects:
-        return self._effects().get(qual, _FnEffects())
-
-    def _effects(self) -> dict[str, _FnEffects]:
-        if self._fn_effects is None:
-            out: dict[str, _FnEffects] = {}
-            for qual, (node, _path) in self._nodes.items():
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    out[qual] = _EffectVisitor().run(node)
-            self._fn_effects = out
-        return self._fn_effects
-
+    @cached_property
     def _idempotent_lines(self) -> dict[str, int]:
         """Qualname -> annotation line for ``# gl: idempotent`` functions."""
-        if self._idempotent is None:
-            marked: dict[str, set[int]] = {}
-            comments: dict[str, set[int]] = {}
-            for path, _tree, source in self._trees:
-                lines: set[int] = set()
-                cmnts: set[int] = set()
-                for lineno, line in enumerate(source.splitlines(), start=1):
-                    if _IDEMPOTENT_RE.search(line):
-                        lines.add(lineno)
-                    if line.lstrip().startswith("#"):
-                        cmnts.add(lineno)
-                if lines:
-                    marked[path] = lines
-                comments[path] = cmnts
-            out: dict[str, int] = {}
-            for qual, info in self.graph.functions.items():
-                lines = marked.get(info.module)
-                if not lines:
-                    continue
-                if info.lineno in lines:
-                    out[qual] = info.lineno
-                    continue
-                # Walk up the contiguous comment block above the def so
-                # the annotation can carry a multi-line justification.
-                cmnts = comments[info.module]
-                cand = info.lineno - 1
-                while cand in cmnts:
-                    if cand in lines:
-                        out[qual] = cand
-                        break
-                    cand -= 1
-            self._idempotent = out
-        return self._idempotent
+        return {q: f.idempotent_line for q, f in self.graph.functions.items()
+                if f.idempotent_line is not None}
 
+    @cached_property
     def _resource_classes(self) -> dict[str, str]:
         """Project classes that are resources themselves -> kind."""
-        if self._res_classes is None:
-            out: dict[str, str] = {}
-            for name, infos in self.graph.classes.items():
-                closure: set[str] = set()
-                stack = list(infos)
-                while stack:
-                    cls = stack.pop()
-                    for base in cls.bases:
-                        if base in closure:
-                            continue
-                        closure.add(base)
-                        stack.extend(self.graph.classes.get(base, []))
-                if closure & _RESOURCE_BASES:
-                    out[name] = "server"
-                elif closure & {"ExperimentService"}:
-                    out[name] = "service"
-                elif closure & {"ServiceClient"}:
-                    out[name] = "client"
-            out.setdefault("ExperimentService", "service")
-            out.setdefault("ServiceClient", "client")
-            self._res_classes = out
-        return self._res_classes
+        out: dict[str, str] = {}
+        for name in self.graph.classes:
+            bases = closure(self.graph.bases(name), self.graph.bases)
+            if bases & _RESOURCE_BASES:
+                out[name] = "server"
+            elif "ExperimentService" in bases:
+                out[name] = "service"
+            elif "ServiceClient" in bases:
+                out[name] = "client"
+        out.setdefault("ExperimentService", "service")
+        out.setdefault("ServiceClient", "client")
+        return out
 
+    @cached_property
     def _returner_table(self) -> dict[str, str]:
         """Qualnames of functions whose annotation returns a resource."""
-        if self._returners is None:
-            resource_names = dict(_RESOURCE_CTORS)
-            resource_names.update(self._resource_classes())
-            resource_names.pop("open", None)
-            out: dict[str, str] = {}
-            for qual, info in self.graph.functions.items():
-                for name in info.returns:
-                    kind = resource_names.get(name)
-                    if kind is not None:
-                        out[qual] = kind
-                        break
-            self._returners = out
-        return self._returners
+        resource_names = dict(_RESOURCE_CTORS)
+        resource_names.update(self._resource_classes)
+        resource_names.pop("open", None)
+        out: dict[str, str] = {}
+        for qual, info in self.graph.functions.items():
+            for name in info.returns:
+                kind = resource_names.get(name)
+                if kind is not None:
+                    out[qual] = kind
+                    break
+        return out
 
     def _returner_kind(self, caller: FunctionInfo,
                        site: CallSite) -> str | None:
         """Kind of resource a resolved call returns, if any."""
         if site.is_attr and site.recv_type is None:
             return None
-        table = self._returner_table()
+        table = self._returner_table
         kinds = {table[t.qualname]
                  for t in self.graph.resolve(caller, site)
                  if t.qualname in table}
@@ -995,21 +694,20 @@ class EffectAnalysis:
 
     # -- exception hierarchy ------------------------------------------------
 
+    @cached_property
     def _parents(self) -> dict[str, str]:
-        if self._exc_parent is None:
-            table = dict(_BUILTIN_EXC_PARENT)
-            for name, infos in self.graph.classes.items():
-                if name in table:
-                    continue
-                for cls in infos:
-                    if cls.bases:
-                        table[name] = cls.bases[0]
-                        break
-            self._exc_parent = table
-        return self._exc_parent
+        table = dict(_BUILTIN_EXC_PARENT)
+        for name, infos in self.graph.classes.items():
+            if name in table:
+                continue
+            for cls in infos:
+                if cls.bases:
+                    table[name] = cls.bases[0]
+                    break
+        return table
 
     def _ancestors(self, exc: str) -> frozenset[str]:
-        table = self._parents()
+        table = self._parents
         out = {exc}
         cur = exc
         for _ in range(32):
@@ -1023,65 +721,32 @@ class EffectAnalysis:
             cur = parent
         return frozenset(out)
 
-    def _caught_by(self, frames: tuple[frozenset[str], ...],
-                   exc: str) -> bool:
+    def _caught_by(self, frames: Frames, exc: str) -> bool:
         ancestors = self._ancestors(exc)
         return any(frame & ancestors for frame in frames)
 
-    # -- call edges (GL14 discipline) ---------------------------------------
-
-    def _edges(self, info: FunctionInfo,
-               ) -> list[tuple[str, CallSite,
-                               tuple[frozenset[str], ...]]]:
-        eff = self.effects_of(info.qualname)
-        out: list[tuple[str, CallSite, tuple[frozenset[str], ...]]] = []
-        for site in info.calls:
-            if site.is_attr and site.recv_type is None:
-                continue
-            caught = eff.call_caught.get((site.lineno, site.col), ())
-            for target in self.graph.resolve(info, site):
-                out.append((target.qualname, site, caught))
-        return out
-
     # -- GL16: raises-set fixpoint ------------------------------------------
 
+    @cached_property
     def escapes(self) -> dict[str, dict[str, tuple[str, int]]]:
         """Qualname -> {exception: (origin qualname, origin line)}."""
-        if self._escape_table is None:
-            table: dict[str, dict[str, tuple[str, int]]] = {}
-            for qual, info in self.graph.functions.items():
-                direct: dict[str, tuple[str, int]] = {}
-                for name, frames, lineno, _col in self.effects_of(
-                        qual).raises:
-                    if not self._caught_by(frames, name):
-                        direct.setdefault(name, (qual, lineno))
-                table[qual] = direct
-            for _ in range(_MAX_PASSES):
-                changed = False
-                for qual, info in self.graph.functions.items():
-                    mine = table[qual]
-                    for target, _site, caught in self._edges(info):
-                        for exc, origin in table.get(target, {}).items():
-                            if exc in mine:
-                                continue
-                            if self._caught_by(caught, exc):
-                                continue
-                            mine[exc] = origin
-                            changed = True
-                if not changed:
-                    break
-            self._escape_table = table
-        return self._escape_table
+        table: dict[str, dict[str, tuple[str, int]]] = {}
+        for qual, info in self.graph.functions.items():
+            direct: dict[str, tuple[str, int]] = {}
+            for name, frames, lineno in info.raises:
+                if not self._caught_by(frames, name):
+                    direct.setdefault(name, (qual, lineno))
+            table[qual] = direct
+        return propagate(table, self._edges, admit=lambda site, exc: (
+            not self._caught_by(site.caught, exc)))
 
-    def _worker_roots(self) -> dict[str, str]:
+    @cached_property
+    def escape_issues(self) -> list[Issue]:
         from repro.lint.dataflow_rules import _thread_roots
 
-        return _thread_roots(self.graph)
-
-    def _run_gl16(self) -> list[EscapeIssue]:
-        escapes = self.escapes()
-        issues: list[EscapeIssue] = []
-        for qual, label in sorted(self._worker_roots().items()):
+        escapes = self.escapes
+        issues: list[Issue] = []
+        for qual, label in sorted(_thread_roots(self.graph).items()):
             info = self.graph.functions.get(qual)
             if info is None:
                 continue
@@ -1094,7 +759,7 @@ class EffectAnalysis:
                          else f"line {origin_line}")
                 via = ("raised directly" if origin_qual == qual
                        else f"raised in {_short(origin_qual)} ({where})")
-                issues.append(EscapeIssue(
+                issues.append(Issue(
                     module=info.module, line=info.lineno, col=0,
                     message=f"{exc} can escape worker entry point "
                             f"{label} ({via}); an uncaught exception kills "
@@ -1104,14 +769,15 @@ class EffectAnalysis:
 
     # -- GL15 ---------------------------------------------------------------
 
-    def _run_gl15(self) -> list[ResourceIssue]:
-        issues: list[ResourceIssue] = []
+    @cached_property
+    def resource_issues(self) -> list[Issue]:
+        issues: list[Issue] = []
         ownership: dict[str, dict[str, tuple[str, int, str]]] = {}
         for qual in sorted(self.graph.functions):
-            info = self.graph.functions[qual]
-            node, _path = self._nodes.get(qual, (None, ""))
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            node = self._nodes.get(qual)
+            if node is None:
                 continue
+            info = self.graph.functions[qual]
             walker = _Typestate(self, info, node)
             walker.run()
             issues.extend(walker.issues)
@@ -1124,16 +790,16 @@ class EffectAnalysis:
 
     def _ownership_issues(
             self, ownership: dict[str, dict[str, tuple[str, int, str]]],
-    ) -> list[ResourceIssue]:
+    ) -> list[Issue]:
         """Classes owning resources must release them from some method."""
-        issues: list[ResourceIssue] = []
+        issues: list[Issue] = []
         for cls_name in sorted(ownership):
             releasers = self._class_releasers(cls_name)
             for attr, (kind, line, module) in sorted(
                     ownership[cls_name].items()):
                 if attr in releasers:
                     continue
-                issues.append(ResourceIssue(
+                issues.append(Issue(
                     module=module, line=line, col=0,
                     message=f"{cls_name} stores a {kind} in self.{attr} "
                             f"(line {line}) but no method of the class "
@@ -1143,116 +809,90 @@ class EffectAnalysis:
 
     def _class_releasers(self, cls_name: str) -> set[str]:
         """Attrs of ``cls_name`` some method both reads and releases."""
-        closure = {cls_name}
-        stack = [cls_name]
-        while stack:
-            for cls in self.graph.classes.get(stack.pop(), []):
-                for base in cls.bases:
-                    if base not in closure:
-                        closure.add(base)
-                        stack.append(base)
         out: set[str] = set()
-        for name in closure:
+        for name in closure([cls_name], self.graph.bases):
             for cls in self.graph.classes.get(name, []):
                 for method in cls.methods.values():
                     # A method releases either by calling close/stop/...
                     # on something, or by *being* the teardown (its own
                     # name is a release verb, delegating the actual call
                     # to a helper like ``_hangup(self._conn)``).
-                    releases = (method.name in _RELEASE_METHODS
-                                or any(s.name in _RELEASE_METHODS
-                                       for s in method.calls))
-                    if not releases:
-                        continue
-                    out |= self.effects_of(method.qualname).self_attr_reads
+                    if (method.name in _RELEASE_METHODS
+                            or any(s.name in _RELEASE_METHODS
+                                   for s in method.calls)):
+                        out |= method.self_attr_reads
         return out
 
     # -- GL17 ---------------------------------------------------------------
 
+    @cached_property
     def _marker_funcs(self) -> frozenset[str]:
         """Functions that lexically call ``backoff_s``/``charge_s``."""
-        if self._markers is None:
-            self._markers = frozenset(
-                qual for qual in self.graph.functions
-                if self.effects_of(qual).has_retry_marker)
-        return self._markers
+        return frozenset(
+            q for q, f in self.graph.functions.items()
+            if any(s.name in _RETRY_MARKERS for s in f.calls))
 
     def _retry_spans(self, qual: str) -> list[tuple[int, int]]:
-        """Line spans of retry-driven loops in one function."""
-        info = self.graph.functions[qual]
-        eff = self.effects_of(qual)
-        spans = list(eff.retry_loops)
-        markers = self._marker_funcs()
-        for span in eff.candidate_loops:
-            for target, site, _caught in self._edges(info):
-                if (span[0] <= site.lineno <= span[1]
-                        and target in markers):
-                    spans.append(span)
-                    break
+        """Line spans of retry-driven loops in one function.
+
+        A loop without a marker of its own is retry-driven when it calls
+        a function that has one.
+        """
+        loops = self.graph.functions[qual].loops
+        spans = [(lo, hi) for lo, hi, retry in loops if retry]
+        spans += [(lo, hi) for lo, hi, retry in loops if not retry and any(
+            lo <= site.lineno <= hi and target in self._marker_funcs
+            for site, target in self._edges(qual))]
         return spans
 
-    def _suspect_writes(self) -> dict[str, list[tuple[str, str, int]]]:
-        """Transitive at-most-once mutations: qual -> (attr, kind, line)."""
-        table: dict[str, list[tuple[str, str, int]]] = {}
-        annotated = self._idempotent_lines()
-        for qual, info in self.graph.functions.items():
-            table[qual] = [(w.attr, w.kind, w.lineno) for w in info.writes
-                           if w.kind in _SUSPECT_WRITE_KINDS]
-        for _ in range(_MAX_PASSES):
-            changed = False
-            for qual, info in self.graph.functions.items():
-                if qual in annotated:
-                    continue
-                mine = table[qual]
-                seen = {(a, k) for a, k, _l in mine}
-                for target, _site, _caught in self._edges(info):
-                    if target in annotated:
-                        continue
-                    for attr, kind, line in table.get(target, ()):
-                        if (attr, kind) not in seen:
-                            mine.append((attr, kind, line))
-                            seen.add((attr, kind))
-                            changed = True
-            if not changed:
-                break
-        return table
+    @cached_property
+    def _suspect_writes(self) -> dict[str, dict[tuple[str, str], int]]:
+        """Transitive at-most-once mutations: qual -> {(attr, kind): line}.
 
-    def _run_gl17(self) -> list[RetryIssue]:
-        issues: list[RetryIssue] = []
-        writes = self._suspect_writes()
-        annotated = self._idempotent_lines()
+        Annotated functions keep their own writes but neither receive
+        nor pass on their callees'.
+        """
+        annotated = self._idempotent_lines
+        table: dict[str, dict[tuple[str, str], int]] = {}
+        for qual, info in self.graph.functions.items():
+            mine: dict[tuple[str, str], int] = {}
+            for w in info.writes:
+                if w.kind in _SUSPECT_WRITE_KINDS:
+                    mine.setdefault((w.attr, w.kind), w.lineno)
+            table[qual] = mine
+        return propagate(table, lambda qual: [] if qual in annotated else [
+            (site, target) for site, target in self._edges(qual)
+            if target not in annotated])
+
+    @cached_property
+    def retry_issues(self) -> list[Issue]:
+        issues: list[Issue] = []
+        writes = self._suspect_writes
+        annotated = self._idempotent_lines
         for qual in sorted(self.graph.functions):
             info = self.graph.functions[qual]
             spans = self._retry_spans(qual)
-            if spans or qual in annotated:
-                pass
-            else:
-                continue
             if spans and qual not in annotated:
                 issues.extend(self._loop_issues(info, spans, writes))
-            if qual in annotated:
-                # The fixpoint never propagates into annotated functions,
-                # so look one call level deep by hand: an annotation is
-                # stale only if neither the function nor anything it
-                # calls performs an at-most-once mutation.
-                direct = writes.get(qual, [])
-                callee_muts = any(
-                    writes.get(target)
-                    for target, _site, _caught in self._edges(info))
-                if not direct and not callee_muts and not spans:
-                    issues.append(RetryIssue(
-                        module=info.module, line=annotated[qual], col=0,
-                        message=f"stale '# gl: idempotent' on "
-                                f"{_short(qual)}: it performs no "
-                                "at-most-once mutations — drop the "
-                                "annotation"))
+            # Propagation never enters annotated functions, so look one
+            # call level deep by hand: an annotation is stale only if
+            # neither the function nor anything it calls performs an
+            # at-most-once mutation.
+            if (qual in annotated and not spans and not writes[qual]
+                    and not any(writes.get(target)
+                                for _site, target in self._edges(qual))):
+                issues.append(Issue(
+                    module=info.module, line=annotated[qual], col=0,
+                    message=f"stale '# gl: idempotent' on "
+                            f"{_short(qual)}: it performs no "
+                            "at-most-once mutations — drop the "
+                            "annotation"))
         return issues
 
     def _loop_issues(self, info: FunctionInfo, spans: list[tuple[int, int]],
-                     writes: dict[str, list[tuple[str, str, int]]],
-                     ) -> list[RetryIssue]:
-        issues: list[RetryIssue] = []
-        annotated = self._idempotent_lines()
+                     writes: dict[str, dict[tuple[str, str], int]],
+                     ) -> list[Issue]:
+        issues: list[Issue] = []
 
         def in_span(line: int) -> bool:
             return any(lo <= line <= hi for lo, hi in spans)
@@ -1260,7 +900,7 @@ class EffectAnalysis:
         for w in info.writes:
             if w.kind in _SUSPECT_WRITE_KINDS and in_span(w.lineno):
                 verb = ("bumps" if w.kind == "augassign" else "mutates")
-                issues.append(RetryIssue(
+                issues.append(Issue(
                     module=info.module, line=w.lineno, col=w.col,
                     message=f"{_short(info.qualname)} {verb} "
                             f"self.{w.attr} inside its retry loop; a "
@@ -1268,16 +908,14 @@ class EffectAnalysis:
                             "write idempotent or annotate the function "
                             "'# gl: idempotent'"))
         reported: set[str] = set()
-        for target, site, _caught in self._edges(info):
-            if not in_span(site.lineno) or target in annotated:
-                continue
-            muts = writes.get(target, [])
-            if not muts or target in reported:
+        for site, target in self._edges(info.qualname):
+            if (not in_span(site.lineno) or target in self._idempotent_lines
+                    or not writes.get(target) or target in reported):
                 continue
             reported.add(target)
-            attr, kind, line = muts[0]
+            (attr, kind), line = next(iter(writes[target].items()))
             verb = "bumps" if kind == "augassign" else "mutates"
-            issues.append(RetryIssue(
+            issues.append(Issue(
                 module=info.module, line=site.lineno, col=site.col,
                 message=f"{_short(target)}() runs under "
                         f"{_short(info.qualname)}'s retry loop and "
@@ -1288,140 +926,89 @@ class EffectAnalysis:
 
     # -- GL18 ---------------------------------------------------------------
 
+    @cached_property
     def _digest_scope(self) -> frozenset[str]:
         """``cache_key``/``lab_snapshot_key`` and everything they call."""
-        seeds = [q for q, f in self.graph.functions.items()
-                 if f.name in _DIGEST_FUNCS]
-        seen: set[str] = set()
-        while seeds:
-            qual = seeds.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            seeds.extend(q for q in self.graph.callees(qual)
-                         if q not in seen)
-        return frozenset(seen)
+        return frozenset(closure(
+            (q for q, f in self.graph.functions.items()
+             if f.name in _DIGEST_FUNCS), self.graph.callees))
 
+    @cached_property
     def _mutable_globals(self) -> dict[str, dict[str, int]]:
         """Module path -> {global name: definition line} (mutated only)."""
         defined: dict[str, dict[str, int]] = {}
-        for path, tree, _source in self._trees:
-            names: dict[str, int] = {}
-            for stmt in tree.body:
-                target = None
-                value = None
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-                    target, value = stmt.targets[0], stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    target, value = stmt.target, stmt.value
-                if not isinstance(target, ast.Name) or value is None:
-                    continue
-                mutable = isinstance(value, (ast.Dict, ast.List, ast.Set,
-                                             ast.DictComp, ast.ListComp,
-                                             ast.SetComp))
-                if isinstance(value, ast.Call):
-                    name = _call_name(value)
-                    mutable = (name in _MUTABLE_CTORS
-                               or name in self.graph.classes)
-                if mutable:
-                    names[target.id] = stmt.lineno
+        for path, found in self.graph.container_globals.items():
+            names = {name: line for name, line, ctor in found
+                     if ctor is None or ctor in _MUTABLE_CTORS
+                     or ctor in self.graph.classes}
             if names:
                 defined[path] = names
         # Keep only globals some function in the same module mutates.
         out: dict[str, dict[str, int]] = {}
-        for qual, info in self.graph.functions.items():
-            names = defined.get(info.module)
-            if not names:
-                continue
-            eff = self.effects_of(qual)
+        for info in self.graph.functions.values():
+            names = defined.get(info.module, {})
             hit = {
                 g for g in names
-                if g in eff.global_writes
+                if g in info.global_writes
                 or any(recv == g and meth in _GL18_MUTATORS
-                       for recv, meth in eff.recv_calls)}
+                       for recv, meth in info.recv_calls)}
             if hit:
                 bucket = out.setdefault(info.module, {})
                 for g in hit:
                     bucket[g] = names[g]
         return out
 
+    @cached_property
     def _mutable_class_attrs(self) -> dict[str, set[str]]:
         """Class name -> class-level mutable attrs some method mutates."""
-        candidates: dict[str, set[str]] = {}
-        for _path, tree, _source in self._trees:
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                for stmt in node.body:
-                    target = None
-                    value = None
-                    if (isinstance(stmt, ast.Assign)
-                            and len(stmt.targets) == 1):
-                        target, value = stmt.targets[0], stmt.value
-                    elif isinstance(stmt, ast.AnnAssign):
-                        target, value = stmt.target, stmt.value
-                    if (isinstance(target, ast.Name)
-                            and isinstance(value, (ast.Dict, ast.List,
-                                                   ast.Set))):
-                        candidates.setdefault(node.name, set()).add(
-                            target.id)
         out: dict[str, set[str]] = {}
-        for name, attrs in candidates.items():
-            mutated: set[str] = set()
-            for cls in self.graph.classes.get(name, []):
-                for method in cls.methods.values():
-                    for w in method.writes:
-                        if w.attr in attrs and w.kind in ("item", "mutcall",
-                                                          "augassign"):
-                            mutated.add(w.attr)
+        for name, infos in self.graph.classes.items():
+            attrs = set().union(*(cls.container_attrs for cls in infos))
+            mutated = {w.attr for cls in infos
+                       for method in cls.methods.values()
+                       for w in method.writes
+                       if w.attr in attrs
+                       and w.kind in ("item", "mutcall", "augassign")}
             if mutated:
                 out[name] = mutated
         return out
 
-    def _run_gl18(self) -> list[AmbientIssue]:
+    @cached_property
+    def ambient_issues(self) -> list[Issue]:
         reachable = self.graph.reachable_from_roots()
-        digest = self._digest_scope()
-        mutable = self._mutable_globals()
-        class_attrs = self._mutable_class_attrs()
-        issues: list[AmbientIssue] = []
-        for qual in sorted(reachable):
-            if qual in digest:
-                continue
+        digest = self._digest_scope
+        mutable = self._mutable_globals
+        class_attrs = self._mutable_class_attrs
+        issues: list[Issue] = []
+        for qual in sorted(reachable - digest):
             info = self.graph.functions.get(qual)
             if info is None:
                 continue
-            eff = self.effects_of(qual)
-            for lineno, col in eff.env_reads[:1]:
-                issues.append(AmbientIssue(
+            for lineno, col in info.env_reads[:1]:
+                issues.append(Issue(
                     module=info.module, line=lineno, col=col,
                     message=f"{_short(qual)} reads an environment "
                             "variable on the cached-compute path, but "
                             "cache_key never digests it — a changed "
                             "environment serves a stale cached result"))
             for g, def_line in sorted(mutable.get(info.module, {}).items()):
-                read = eff.name_reads.get(g)
+                read = info.name_reads.get(g)
                 if read is None:
                     continue
-                issues.append(AmbientIssue(
+                issues.append(Issue(
                     module=info.module, line=read[0], col=read[1],
                     message=f"{_short(qual)} reads mutated module "
                             f"global '{g}' (defined line {def_line}) on "
                             "the cached-compute path; its contents can "
                             "influence a result cache_key never sees"))
-            if info.cls is not None:
-                for attr in sorted(class_attrs.get(info.cls, ())):
-                    if attr not in eff.self_attr_reads:
-                        continue
-                    issues.append(AmbientIssue(
-                        module=info.module, line=info.lineno, col=0,
-                        message=f"{_short(qual)} reads mutable class "
-                                f"attribute {info.cls}.{attr} (shared "
-                                "across instances) on the cached-compute "
-                                "path without digesting it into "
-                                "cache_key"))
+            for attr in sorted(class_attrs.get(info.cls or "", ())):
+                if attr not in info.self_attr_reads:
+                    continue
+                issues.append(Issue(
+                    module=info.module, line=info.lineno, col=0,
+                    message=f"{_short(qual)} reads mutable class "
+                            f"attribute {info.cls}.{attr} (shared "
+                            "across instances) on the cached-compute "
+                            "path without digesting it into "
+                            "cache_key"))
         return issues
-
-
-def _short(qualname: str) -> str:
-    """``path::Class.name`` -> ``Class.name`` for messages."""
-    return qualname.rsplit("::", 1)[-1]

@@ -19,6 +19,7 @@ import ast
 import os
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import ConfigError
@@ -26,13 +27,14 @@ from repro.errors import ConfigError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.dataflow import DimDataflow
     from repro.lint.effects import EffectAnalysis
-    from repro.lint.graph import ProjectGraph
+    from repro.lint.graph import ModuleSummary, ProjectGraph
 
 SEVERITIES = ("error", "warning")
 
 #: Rule scopes: ``file`` rules are pure functions of one module's source
-#: (cacheable per file); ``project`` rules read whole-program state (the
-#: call graph, the dataflow fixpoint) and always run fresh.
+#: and its summary (cacheable per file); ``project`` rules read
+#: whole-program state (the call graph, the dataflow fixpoint) and always
+#: run fresh, over summaries that are themselves cached.
 SCOPES = ("file", "project")
 
 _IGNORE_RE = re.compile(
@@ -165,6 +167,21 @@ class ModuleContext:
     @property
     def basename(self) -> str:
         return os.path.basename(self.path)
+
+    @cached_property
+    def summary(self) -> ModuleSummary:
+        """The module's graph summary, walked once for GL13 and the graph."""
+        from repro.lint.graph import summarize_module
+
+        return summarize_module(self.path, self.source, self.tree)
+
+    @cached_property
+    def function_nodes(
+            self) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
+        """Qualname -> definition, shared by the dataflow and GL15 walks."""
+        from repro.lint.graph import index_functions
+
+        return index_functions(self.path, self.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +419,10 @@ def lint_paths(paths: Sequence[str],
     """Lint every Python file under ``paths`` with project-wide context.
 
     With ``cache_dir`` set, per-file work (the file-scope rules and the
-    module's graph summary) is reused from an on-disk cache keyed by
-    file content; project-scope rules always run fresh over the merged
-    summaries.
+    module's graph summary, which carries every fact the whole-program
+    rules read) is reused from an on-disk cache keyed by file content,
+    and a run that stores entries prunes the cache to its bound;
+    project-scope rules always run fresh over the merged summaries.
     """
     rules = _select_rules(select)
     file_rules = [r for r in rules if r.scope == "file"]
@@ -436,7 +454,7 @@ def lint_paths(paths: Sequence[str],
         _collect_signatures(ctx.tree, project)
     _collect_error_classes((m.tree for m in modules), project)
     from repro.lint.dataflow import DimDataflow
-    from repro.lint.graph import ModuleSummary, ProjectGraph, summarize_module
+    from repro.lint.graph import ModuleSummary, ProjectGraph
 
     cache = None
     if cache_dir is not None:
@@ -459,16 +477,17 @@ def lint_paths(paths: Sequence[str],
             summaries.append(entry.summary)
             continue
         kept, n_suppressed = _lint_module(ctx, file_rules)
-        summary = summarize_module(ctx.path, ctx.source, ctx.tree)
         findings.extend(kept)
         suppressed += n_suppressed
-        summaries.append(summary)
+        summaries.append(ctx.summary)
         if cache is not None:
             cache_misses += 1
             from repro.lint.cache import CacheEntry
 
             cache.store(ctx.path, ctx.source, CacheEntry(
-                findings=kept, suppressed=n_suppressed, summary=summary))
+                findings=kept, suppressed=n_suppressed, summary=ctx.summary))
+    if cache is not None and cache_misses:
+        cache.prune()
 
     # Whole-program phase: merge summaries, layer the dataflow analysis
     # on top, and run the project-scope rules fresh.

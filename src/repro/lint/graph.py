@@ -9,24 +9,35 @@ into a report.  This module builds the shared substrate those rules
 query:
 
 * a :class:`FunctionInfo` per function/method — its signature, every
-  call site (with the receiver type when it can be resolved), every
-  lock acquisition, every ``self.attr`` write (with the locks held at
-  the write), and its direct *impurity facts* (wall-clock reads,
-  ``os.urandom``, unseeded RNG, iteration over unordered sources);
+  call site (with the receiver type when it can be resolved, and the
+  ``except`` names around it), every lock acquisition, every
+  ``self.attr`` write (with the locks held at the write), its direct
+  *impurity facts* (wall-clock reads, ``os.urandom``, unseeded RNG,
+  iteration over unordered sources), and the effect facts GL15–GL18
+  read: raises with the ``except`` names around them, environment,
+  name and ``self.`` reads, ``name.method()`` calls, global writes,
+  loop spans and the ``# gl: idempotent`` line;
 * a :class:`ClassInfo` per class — bases, methods, lock-typed
   attributes, attribute types inferred from ``__init__`` constructor
-  assignments, and ``# gl: guarded-by=<lock>`` declarations;
+  assignments, class-level container attributes, and
+  ``# gl: guarded-by=<lock>`` declarations;
 * name-based call resolution with three precision tiers: exact receiver
   type (``self``, annotated parameters, locally constructed objects),
   then unique global name, then *signature-compatible dynamic dispatch*
   (an untyped ``device.service(req)`` reaches every project method
   named ``service`` whose signature accepts that call — how protocol
   dispatch stays visible to the analysis);
-* memoized whole-program analyses on top: reachability from the
-  experiment/pipeline roots, and per-function transitive lock sets.
+* two generic solvers over the resolved call edges: :func:`closure`
+  (reachability from the experiment/pipeline roots, the digest scope,
+  base classes) and :func:`propagate` (keyed facts with witnesses
+  spread from callees to callers: transitive locks, raises-sets, retry
+  mutations).
 
-Everything is resolved by name over the linted tree only; nothing is
-imported or executed.
+One walk per module (:func:`summarize_module`) collects every fact, so
+the :class:`ModuleSummary` the lint cache persists is all the
+whole-program rules read besides GL15's typestate walk.  Everything is
+resolved by name over the linted tree only; nothing is imported or
+executed.
 """
 
 from __future__ import annotations
@@ -34,7 +45,14 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Iterable,
+    Iterator,
+    Sequence,
+    TypeVar,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.engine import ModuleContext
@@ -42,6 +60,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: ``# gl: guarded-by=<lock>`` — declares that the attribute assigned on
 #: this line must only ever be written while ``self.<lock>`` is held.
 _GUARDED_BY_RE = re.compile(r"#\s*gl:\s*guarded-by=([A-Za-z_]\w*)")
+
+#: ``# gl: idempotent`` — declares a function safe to re-execute under a
+#: retry loop even though it mutates state (e.g. per-attempt counters).
+_IDEMPOTENT_RE = re.compile(r"#\s*gl:\s*idempotent\b")
+
+#: Direct markers of a retry-driven loop body.
+_RETRY_MARKERS = frozenset({"backoff_s", "charge_s"})
 
 #: Wall-clock and entropy sources banned on experiment-reachable paths.
 _WALL_CLOCK_TIME_ATTRS = frozenset({
@@ -65,6 +90,12 @@ _MUTATOR_METHODS = frozenset({
 _BUILTIN_CONTAINER_CTORS = frozenset({
     "dict", "list", "set", "frozenset", "tuple", "defaultdict", "deque",
 })
+
+#: Literals that build a mutable container (class attributes, GL18).
+_CONTAINER_LITERALS = (ast.Dict, ast.List, ast.Set)
+
+#: Caught-exception frames around a statement, innermost last.
+Frames = tuple[frozenset[str], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +141,7 @@ class CallSite:
     lineno: int
     col: int
     discarded: bool = False          #: an expression statement by itself
+    caught: Frames = ()              #: ``except`` names of enclosing trys
 
 
 @dataclass(frozen=True)
@@ -161,13 +193,30 @@ class FunctionInfo:
     #: (target, callee-name-if-value-is-a-call, line, col) per local assign.
     local_assigns: list[tuple[str, str | None, int, int]] = field(
         default_factory=list)
-    #: every local name read anywhere in the body (flow-insensitive).
-    loaded_names: set[str] = field(default_factory=set)
+    #: every name read in the body (``x += e`` reads x) -> first (line, col).
+    name_reads: dict[str, tuple[int, int]] = field(default_factory=dict)
     #: callables handed to another thread of control: ``pool.submit(f)``,
     #: ``Thread(target=f)``, ``Executor(initializer=f)``.  Each entry is
     #: ``(kind, name, lineno)`` with kind ``"self"`` (``self.f``) or
     #: ``"bare"`` (a plain name).  These seed the GL14 thread roots.
     thread_targets: list[tuple[str, str, int]] = field(default_factory=list)
+    #: (exception name, ``except`` frames around the raise, line).
+    raises: list[tuple[str, Frames, int]] = field(default_factory=list)
+    #: (line, col) of each ``os.environ``/``getenv`` read.
+    env_reads: list[tuple[int, int]] = field(default_factory=list)
+    #: ``self.<attr>`` loads anywhere in the body.
+    self_attr_reads: set[str] = field(default_factory=set)
+    #: (receiver name, method) for every ``name.method(...)`` call.
+    recv_calls: set[tuple[str, str]] = field(default_factory=set)
+    #: names rebound under a ``global`` declaration, plus subscript
+    #: stores through a bare name (``G[k] = v``).
+    global_writes: set[str] = field(default_factory=set)
+    #: (header line, end line, retry-driven) per ``for``/``while`` loop:
+    #: retry-driven when it calls a retry marker or bounds itself with
+    #: ``max_attempts``.
+    loops: list[tuple[int, int, bool]] = field(default_factory=list)
+    #: line of the function's ``# gl: idempotent`` annotation.
+    idempotent_line: int | None = None
 
 
 @dataclass
@@ -188,11 +237,46 @@ class ClassInfo:
     guarded: dict[str, str] = field(default_factory=dict)
     #: attr -> line of its guarded-by declaration (for findings).
     guarded_lines: dict[str, int] = field(default_factory=dict)
+    #: class-level attrs bound to a container literal (shared state).
+    container_attrs: set[str] = field(default_factory=set)
 
 
 # ---------------------------------------------------------------------------
 # Per-module collection
 # ---------------------------------------------------------------------------
+
+def _ref_name(node: ast.AST | None) -> str | None:
+    """``x`` for a bare name ``x``, ``attr`` for ``obj.attr``, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _call_name(node: ast.AST | None) -> str | None:
+    """The simple callee name of a call: ``f`` in ``f()`` or ``o.f()``."""
+    return _ref_name(node.func) if isinstance(node, ast.Call) else None
+
+
+def _exc_names(node: ast.expr | None) -> frozenset[str]:
+    """Exception class names an ``except`` clause catches."""
+    if node is None:
+        return frozenset({"BaseException"})
+    if isinstance(node, ast.Tuple):
+        return frozenset().union(*(_exc_names(elt) for elt in node.elts))
+    name = _ref_name(node)
+    return frozenset({name}) if name is not None else frozenset()
+
+
+def _single_assign(stmt: ast.stmt) -> tuple[ast.expr | None, ast.expr | None]:
+    """(target, value) of a one-target ``x = v`` or ``x: T = v``."""
+    if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+        return stmt.targets[0], stmt.value
+    if isinstance(stmt, ast.AnnAssign):
+        return stmt.target, stmt.value
+    return None, None
+
 
 def _param_sig(fn: ast.FunctionDef | ast.AsyncFunctionDef,
                drop_self: bool) -> ParamSig:
@@ -232,21 +316,7 @@ def _outer_annotation_name(node: ast.expr | None) -> str | None:
     """The root class of an annotation: ``dict[Any, int]`` -> ``dict``."""
     while isinstance(node, ast.Subscript):
         node = node.value
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return None
-
-
-def _guard_annotations(source: str) -> dict[int, str]:
-    """Map 1-based line number -> declared lock name."""
-    out: dict[int, str] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _GUARDED_BY_RE.search(line)
-        if m:
-            out[lineno] = m.group(1)
-    return out
+    return _ref_name(node)
 
 
 def _call_shape(node: ast.Call) -> tuple[int, tuple[str, ...]]:
@@ -257,12 +327,7 @@ def _call_shape(node: ast.Call) -> tuple[int, tuple[str, ...]]:
 
 def _is_lock_ctor(node: ast.expr) -> bool:
     """``threading.Lock()`` / ``threading.RLock()`` / bare ``Lock()``."""
-    if not isinstance(node, ast.Call):
-        return False
-    func = node.func
-    name = func.attr if isinstance(func, ast.Attribute) else (
-        func.id if isinstance(func, ast.Name) else None)
-    return name in ("Lock", "RLock")
+    return _call_name(node) in ("Lock", "RLock")
 
 
 class _ModuleCollector(ast.NodeVisitor):
@@ -273,39 +338,61 @@ class _ModuleCollector(ast.NodeVisitor):
         self.graph = graph
         self.path = path
         self.tree = tree
-        self.guards = _guard_annotations(source)
+        #: line -> lock of its ``# gl: guarded-by`` declaration.
+        self.guards: dict[int, str] = {}
+        #: lines carrying ``# gl: idempotent``, and whole-line comments.
+        self.idempotent: set[int] = set()
+        self.comments: set[int] = set()
+        for lineno, line in enumerate(source.splitlines(), start=1):
+            if "#" not in line:
+                continue
+            m = _GUARDED_BY_RE.search(line)
+            if m:
+                self.guards[lineno] = m.group(1)
+            if _IDEMPOTENT_RE.search(line):
+                self.idempotent.add(lineno)
+            if line.lstrip().startswith("#"):
+                self.comments.add(lineno)
         self.class_stack: list[ClassInfo] = []
         self.is_pipeline_module = "pipelines" in path.replace("\\", "/")
 
     # -- structure ----------------------------------------------------------
 
     def run(self) -> None:
+        # Top-level container candidates for GL18: a literal, or a call
+        # whose constructor name is judged against the whole project.
+        found: list[tuple[str, int, str | None]] = []
+        for stmt in self.tree.body:
+            target, value = _single_assign(stmt)
+            if not isinstance(target, ast.Name):
+                continue
+            ctor = _call_name(value)
+            if ctor is not None or isinstance(value, (
+                    *_CONTAINER_LITERALS, ast.DictComp, ast.ListComp,
+                    ast.SetComp)):
+                found.append((target.id, stmt.lineno, ctor))
+        if found:
+            self.graph.container_globals[self.path] = found
         self.visit(self.tree)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        bases = []
-        for b in node.bases:
-            if isinstance(b, ast.Name):
-                bases.append(b.id)
-            elif isinstance(b, ast.Attribute):
-                bases.append(b.attr)
-            elif isinstance(b, ast.Subscript):
-                # Generic[...] / Protocol[...] style bases.
-                inner = b.value
-                if isinstance(inner, ast.Name):
-                    bases.append(inner.id)
-                elif isinstance(inner, ast.Attribute):
-                    bases.append(inner.attr)
+        # ``Generic[...]``/``Protocol[...]`` bases name their origin.
+        refs = (_ref_name(b.value if isinstance(b, ast.Subscript) else b)
+                for b in node.bases)
+        bases = tuple(name for name in refs if name is not None)
         cls = ClassInfo(
             name=node.name, module=self.path, lineno=node.lineno,
-            bases=tuple(bases), is_protocol="Protocol" in bases)
-        # Class-level guarded-by declarations on annotated fields.
+            bases=bases, is_protocol="Protocol" in bases)
         for stmt in node.body:
-            if (isinstance(stmt, ast.AnnAssign)
-                    and isinstance(stmt.target, ast.Name)
-                    and stmt.lineno in self.guards):
-                cls.guarded[stmt.target.id] = self.guards[stmt.lineno]
-                cls.guarded_lines[stmt.target.id] = stmt.lineno
+            target, value = _single_assign(stmt)
+            if not isinstance(target, ast.Name):
+                continue
+            if isinstance(value, _CONTAINER_LITERALS):
+                cls.container_attrs.add(target.id)
+            # Class-level guarded-by declarations on annotated fields.
+            if isinstance(stmt, ast.AnnAssign) and stmt.lineno in self.guards:
+                cls.guarded[target.id] = self.guards[stmt.lineno]
+                cls.guarded_lines[target.id] = stmt.lineno
         self.graph.classes.setdefault(node.name, []).append(cls)
         self.class_stack.append(cls)
         self.generic_visit(node)
@@ -330,6 +417,7 @@ class _ModuleCollector(ast.NodeVisitor):
             module=self.path, lineno=node.lineno,
             sig=_param_sig(node, drop_self=in_class),
             returns=tuple(_annotation_names(node.returns)),
+            idempotent_line=self._idempotent_line(node.lineno),
         )
         info.is_root = self._is_root(node, cls)
         _BodyScanner(self, info, cls, node).run()
@@ -344,6 +432,19 @@ class _ModuleCollector(ast.NodeVisitor):
             self.graph.funcs_by_name.setdefault(node.name, []).append(info)
         # Decorated/nested defs keep their summaries; do not recurse here
         # (the body scanner already visited nested defs).
+
+    def _idempotent_line(self, lineno: int) -> int | None:
+        """The ``# gl: idempotent`` line on or above a ``def``."""
+        if lineno in self.idempotent:
+            return lineno
+        # Walk up the contiguous comment block above the def so the
+        # annotation can carry a multi-line justification.
+        lineno -= 1
+        while lineno in self.comments:
+            if lineno in self.idempotent:
+                return lineno
+            lineno -= 1
+        return None
 
     def _is_root(self, node: ast.FunctionDef | ast.AsyncFunctionDef,
                  cls: ClassInfo | None) -> bool:
@@ -361,7 +462,7 @@ class _ModuleCollector(ast.NodeVisitor):
 
 
 class _BodyScanner(ast.NodeVisitor):
-    """Scan one function body: calls, locks, writes, impurities."""
+    """Scan one function body: calls, locks, writes, impurities, effects."""
 
     def __init__(self, mod: _ModuleCollector, info: FunctionInfo,
                  cls: ClassInfo | None,
@@ -372,6 +473,11 @@ class _BodyScanner(ast.NodeVisitor):
         self.node = node
         self.held: list[str] = []
         self._discarded_calls: set[int] = set()
+        #: ``except`` names of the enclosing try bodies, innermost last.
+        self._caught: list[frozenset[str]] = []
+        #: (handler exception names, bound name) of enclosing handlers.
+        self._handlers: list[tuple[frozenset[str], str | None]] = []
+        self._globals: set[str] = set()
         #: local name -> class name (constructor assignments, annotations).
         self.local_types: dict[str, str] = {}
         for a in (*node.args.posonlyargs, *node.args.args,
@@ -425,6 +531,51 @@ class _BodyScanner(ast.NodeVisitor):
         for _ in acquired:
             self.held.pop()
 
+    # -- exceptions ---------------------------------------------------------
+
+    def visit_Try(self, node: ast.Try) -> None:
+        self._caught.append(frozenset().union(
+            *(_exc_names(h.type) for h in node.handlers)))
+        for stmt in node.body:
+            self.visit(stmt)
+        self._caught.pop()
+        for handler in node.handlers:
+            if handler.type is not None:
+                self.visit(handler.type)
+            self._handlers.append((_exc_names(handler.type), handler.name))
+            for stmt in handler.body:
+                self.visit(stmt)
+            self._handlers.pop()
+        for stmt in (*node.orelse, *node.finalbody):
+            self.visit(stmt)
+
+    visit_TryStar = visit_Try  # type: ignore[assignment]
+
+    def _raised_names(self, exc: ast.expr | None) -> frozenset[str]:
+        if exc is None:
+            # Bare re-raise: whatever the innermost handler caught.
+            return self._handlers[-1][0] if self._handlers else frozenset()
+        if isinstance(exc, ast.Name):
+            if self._handlers and exc.id == self._handlers[-1][1]:
+                return self._handlers[-1][0]
+            # A dynamically-bound exception object: class unknown, and
+            # guessing "Exception" here would flag every re-raise
+            # helper, so stay silent.
+            return frozenset()
+        name = (_call_name(exc) if isinstance(exc, ast.Call)
+                else _ref_name(exc))
+        return frozenset({name}) if name else frozenset()
+
+    def visit_Raise(self, node: ast.Raise) -> None:
+        for name in sorted(self._raised_names(node.exc)):
+            self.info.raises.append((name, tuple(self._caught), node.lineno))
+        self.generic_visit(node)
+
+    def visit_Assert(self, node: ast.Assert) -> None:
+        self.info.raises.append(
+            ("AssertionError", tuple(self._caught), node.lineno))
+        self.generic_visit(node)
+
     # -- attribute writes ---------------------------------------------------
 
     def _self_attr(self, expr: ast.expr) -> str | None:
@@ -449,9 +600,6 @@ class _BodyScanner(ast.NodeVisitor):
             attr = self._self_attr(target.value)
             if attr is not None:
                 self._record_write(attr, "item", target)
-            self.visit(target.value)
-            self.visit(target.slice)
-            return
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
                 self._scan_target(elt, kind)
@@ -468,7 +616,7 @@ class _BodyScanner(ast.NodeVisitor):
         inferred = self._ctor_class(node.value)
         if inferred is None and isinstance(node.value, ast.Name):
             inferred = self.local_types.get(node.value.id)
-        value_call = self._call_name(node.value)
+        value_call = _call_name(node.value)
         for target in node.targets:
             if isinstance(target, ast.Name):
                 self.info.local_assigns.append(
@@ -493,7 +641,8 @@ class _BodyScanner(ast.NodeVisitor):
         self.visit(node.value)
         if isinstance(node.target, ast.Name):
             # ``x += e`` reads x even though the target ctx is Store.
-            self.info.loaded_names.add(node.target.id)
+            self.info.name_reads.setdefault(
+                node.target.id, (node.target.lineno, node.target.col_offset))
         self._scan_target(node.target, "augassign")
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
@@ -528,20 +677,38 @@ class _BodyScanner(ast.NodeVisitor):
             return "list"
         if isinstance(value, (ast.Set, ast.SetComp)):
             return "set"
-        name = self._call_name(value)
+        name = _call_name(value)
         if name in _BUILTIN_CONTAINER_CTORS:
             return name
         if name is not None and name[:1].isupper():
             return name
         return None
 
-    @staticmethod
-    def _call_name(value: ast.expr) -> str | None:
-        if not isinstance(value, ast.Call):
-            return None
-        func = value.func
-        return func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
+    # -- reads and global writes --------------------------------------------
+
+    def visit_Name(self, node: ast.Name) -> None:
+        if isinstance(node.ctx, ast.Load):
+            self.info.name_reads.setdefault(
+                node.id, (node.lineno, node.col_offset))
+        elif node.id in self._globals:
+            self.info.global_writes.add(node.id)
+
+    def visit_Global(self, node: ast.Global) -> None:
+        self._globals.update(node.names)
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        if (isinstance(node.ctx, (ast.Store, ast.Del))
+                and isinstance(node.value, ast.Name)):
+            self.info.global_writes.add(node.value.id)
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if node.attr == "environ":
+            self.info.env_reads.append((node.lineno, node.col_offset))
+        if (isinstance(node.value, ast.Name) and node.value.id == "self"
+                and isinstance(node.ctx, ast.Load)):
+            self.info.self_attr_reads.add(node.attr)
+        self.generic_visit(node)
 
     # -- calls and impurities ----------------------------------------------
 
@@ -564,33 +731,31 @@ class _BodyScanner(ast.NodeVisitor):
             self._discarded_calls.add(id(node.value))
         self.generic_visit(node)
 
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load):
-            self.info.loaded_names.add(node.id)
-
     def visit_Call(self, node: ast.Call) -> None:
+        name = _call_name(node)
+        if name == "getenv":
+            self.info.env_reads.append((node.lineno, node.col_offset))
         self.generic_visit(node)
-        n_pos, kwnames = _call_shape(node)
-        discarded = id(node) in self._discarded_calls
         func = node.func
-        if isinstance(func, ast.Attribute):
-            recv_type = self._receiver_type(func.value)
+        if name is not None:
+            n_pos, kwnames = _call_shape(node)
             self.info.calls.append(CallSite(
-                name=func.attr, is_attr=True, recv_type=recv_type,
+                name=name, is_attr=isinstance(func, ast.Attribute),
+                recv_type=(self._receiver_type(func.value)
+                           if isinstance(func, ast.Attribute) else None),
                 n_pos=n_pos, kwnames=kwnames, held_locks=tuple(self.held),
                 lineno=node.lineno, col=node.col_offset,
-                discarded=discarded))
+                discarded=id(node) in self._discarded_calls,
+                caught=tuple(self._caught)))
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name):
+                self.info.recv_calls.add((func.value.id, func.attr))
             # An in-place mutation of a guarded container is a write.
             attr = self._self_attr(func.value)
             if attr is not None and func.attr in _MUTATOR_METHODS:
                 self._record_write(attr, "mutcall", node)
             self._check_impure_attr_call(node, func)
         elif isinstance(func, ast.Name):
-            self.info.calls.append(CallSite(
-                name=func.id, is_attr=False, recv_type=None,
-                n_pos=n_pos, kwnames=kwnames, held_locks=tuple(self.held),
-                lineno=node.lineno, col=node.col_offset,
-                discarded=discarded))
             self._check_impure_name_call(node, func)
         self._scan_thread_targets(node)
 
@@ -605,11 +770,10 @@ class _BodyScanner(ast.NodeVisitor):
 
     def _scan_thread_targets(self, node: ast.Call) -> None:
         """Record callables this call hands to another thread of control."""
-        func = node.func
-        fname = func.attr if isinstance(func, ast.Attribute) else (
-            func.id if isinstance(func, ast.Name) else None)
+        fname = _call_name(node)
         refs: list[tuple[str, str] | None] = []
-        if fname == "submit" and isinstance(func, ast.Attribute) and node.args:
+        if (fname == "submit" and isinstance(node.func, ast.Attribute)
+                and node.args):
             # executor.submit(worker, ...): the worker runs on a pool thread.
             refs.append(self._callable_ref(node.args[0]))
         if fname in ("Thread", "Timer"):
@@ -624,9 +788,7 @@ class _BodyScanner(ast.NodeVisitor):
 
     def _check_impure_attr_call(self, node: ast.Call,
                                 func: ast.Attribute) -> None:
-        recv = func.value
-        mod_name = recv.id if isinstance(recv, ast.Name) else (
-            recv.attr if isinstance(recv, ast.Attribute) else None)
+        mod_name = _ref_name(func.value)
         attr = func.attr
         if mod_name == "time" and attr in _WALL_CLOCK_TIME_ATTRS:
             self._impure(node, f"wall-clock call time.{attr}()")
@@ -658,18 +820,15 @@ class _BodyScanner(ast.NodeVisitor):
             reason=reason, lineno=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0)))
 
-    # -- unordered iteration ------------------------------------------------
+    # -- loops --------------------------------------------------------------
 
     def _unordered_source(self, expr: ast.expr) -> str | None:
         """Describe ``expr`` if its iteration order is hash/env-dependent."""
         if isinstance(expr, ast.Set):
             return "a set literal"
-        if isinstance(expr, ast.Call):
-            func = expr.func
-            name = func.id if isinstance(func, ast.Name) else (
-                func.attr if isinstance(func, ast.Attribute) else None)
-            if name in _UNORDERED_PRODUCERS:
-                return f"{name}()"
+        name = _call_name(expr)
+        if name in _UNORDERED_PRODUCERS:
+            return f"{name}()"
         if (isinstance(expr, ast.Attribute) and expr.attr == "environ"
                 and isinstance(expr.value, ast.Name)
                 and expr.value.id == "os"):
@@ -684,8 +843,21 @@ class _BodyScanner(ast.NodeVisitor):
                 f"iteration over {src} is hash-order dependent; "
                 f"sort or use an ordered container")
 
+    def _loop(self, node: ast.For | ast.While, bound: ast.expr) -> None:
+        retry = (any(_call_name(sub) in _RETRY_MARKERS
+                     for sub in ast.walk(node))
+                 or any(_ref_name(sub) == "max_attempts"
+                        for sub in ast.walk(bound)))
+        self.info.loops.append(
+            (node.lineno, node.end_lineno or node.lineno, retry))
+
     def visit_For(self, node: ast.For) -> None:
+        self._loop(node, node.iter)
         self._check_iteration(node.iter)
+        self.generic_visit(node)
+
+    def visit_While(self, node: ast.While) -> None:
+        self._loop(node, node.test)
         self.generic_visit(node)
 
     def visit_AsyncFor(self, node: ast.AsyncFor) -> None:
@@ -710,9 +882,93 @@ class _BodyScanner(ast.NodeVisitor):
         self.visit(node.body)
 
 
+def index_functions(path: str, tree: ast.Module,
+                    ) -> dict[str, ast.FunctionDef | ast.AsyncFunctionDef]:
+    """Qualname -> definition, under the summaries' qualname scheme.
+
+    Definitions are statements, so only statement lists are walked.
+    Registration is pre-order and the last definition of a qualname
+    wins.
+    """
+    out: dict[str, ast.FunctionDef | ast.AsyncFunctionDef] = {}
+
+    def walk(node: ast.AST, cls: str | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = f"{cls}." if cls is not None else ""
+                out[f"{path}::{owner}{child.name}"] = child
+                walk(child, cls)
+            elif isinstance(child, ast.ClassDef):
+                walk(child, child.name)
+            elif isinstance(child, (ast.stmt, ast.excepthandler,
+                                    ast.match_case)):
+                walk(child, cls)
+
+    walk(tree, None)
+    return out
+
+
+def _short(qualname: str) -> str:
+    """``path::Class.name`` -> ``Class.name`` for messages."""
+    return qualname.rsplit("::", 1)[-1]
+
+
+# ---------------------------------------------------------------------------
+# Generic solvers
+# ---------------------------------------------------------------------------
+
+_K = TypeVar("_K")
+_V = TypeVar("_V")
+
+
+def closure(seeds: Iterable[str],
+            step: Callable[[str], Iterable[str]]) -> set[str]:
+    """Everything reachable from ``seeds`` (included) through ``step``."""
+    seen: set[str] = set()
+    stack = list(seeds)
+    while stack:
+        item = stack.pop()
+        if item not in seen:
+            seen.add(item)
+            stack.extend(step(item))
+    return seen
+
+
+def propagate(facts: dict[str, dict[_K, _V]],
+              edges: Callable[[str], Iterable[tuple[CallSite, str]]],
+              admit: Callable[[CallSite, _K], bool] | None = None,
+              ) -> dict[str, dict[_K, _V]]:
+    """Spread keyed facts from callees to callers until nothing changes.
+
+    ``facts`` maps every function to its direct facts, ``{key: witness}``,
+    and is extended in place.  ``edges`` gives a function's ``(call site,
+    callee)`` pairs and is resolved once per function.  Each pass visits
+    the functions in ``facts`` order and their edges in call-site order,
+    so a caller keeps the first witness that reaches it.  ``admit(site,
+    key)`` may stop a fact at a call site (an enclosing ``except``).
+    """
+    resolved = {qual: list(edges(qual)) for qual in facts}
+    changed = True
+    while changed:
+        changed = False
+        for qual, mine in facts.items():
+            for site, target in resolved[qual]:
+                for key, witness in facts.get(target, {}).items():
+                    if key not in mine and (admit is None
+                                            or admit(site, key)):
+                        mine[key] = witness
+                        changed = True
+    return facts
+
+
 # ---------------------------------------------------------------------------
 # The graph
 # ---------------------------------------------------------------------------
+
+#: Module path -> top-level ``name = container`` assignments: (name, line,
+#: constructor name, or None for a literal).
+ContainerGlobals = dict[str, list[tuple[str, int, str | None]]]
+
 
 @dataclass
 class ModuleSummary:
@@ -731,6 +987,7 @@ class ModuleSummary:
     funcs_by_name: dict[str, list[FunctionInfo]] = field(default_factory=dict)
     module_funcs: dict[tuple[str, str], FunctionInfo] = field(
         default_factory=dict)
+    container_globals: ContainerGlobals = field(default_factory=dict)
 
 
 def summarize_module(path: str, source: str, tree: ast.Module,
@@ -745,6 +1002,7 @@ def summarize_module(path: str, source: str, tree: ast.Module,
         methods_by_name=scratch.methods_by_name,
         funcs_by_name=scratch.funcs_by_name,
         module_funcs=scratch.module_funcs,
+        container_globals=scratch.container_globals,
     )
 
 
@@ -757,6 +1015,8 @@ class ProjectGraph:
         self.methods_by_name: dict[str, list[FunctionInfo]] = {}
         self.funcs_by_name: dict[str, list[FunctionInfo]] = {}
         self.module_funcs: dict[tuple[str, str], FunctionInfo] = {}
+        self.container_globals: ContainerGlobals = {}
+        self._edges: dict[tuple[str, bool], list[tuple[CallSite, str]]] = {}
         self._callees: dict[str, tuple[str, ...]] = {}
         self._reachable: frozenset[str] | None = None
         self._transitive_locks: dict[str, frozenset[str]] | None = None
@@ -768,9 +1028,7 @@ class ProjectGraph:
 
     @classmethod
     def build(cls, modules: Iterable[ModuleContext]) -> ProjectGraph:
-        return cls.from_summaries(
-            summarize_module(ctx.path, ctx.source, ctx.tree)
-            for ctx in modules)
+        return cls.from_summaries(ctx.summary for ctx in modules)
 
     @classmethod
     def from_summaries(cls, summaries: Iterable[ModuleSummary],
@@ -787,6 +1045,7 @@ class ProjectGraph:
                 graph.funcs_by_name.setdefault(name, []).extend(infos)
             for key, info in s.module_funcs.items():
                 graph.module_funcs.setdefault(key, info)
+            graph.container_globals.update(s.container_globals)
         return graph
 
     # -- class helpers ------------------------------------------------------
@@ -794,6 +1053,10 @@ class ProjectGraph:
     def iter_classes(self) -> Iterator[ClassInfo]:
         for infos in self.classes.values():
             yield from infos
+
+    def bases(self, name: str) -> list[str]:
+        """Direct base names over every project class called ``name``."""
+        return [b for cls in self.classes.get(name, ()) for b in cls.bases]
 
     def class_method(self, cls: ClassInfo,
                      name: str) -> FunctionInfo | None:
@@ -859,14 +1122,35 @@ class ProjectGraph:
                 ctors.append(init)
         return ctors
 
+    def edges(self, qualname: str,
+              confident: bool = False) -> list[tuple[CallSite, str]]:
+        """Resolved ``(call site, callee qualname)`` pairs (memoized).
+
+        In call-site order, each site's targets in resolution order.
+        ``confident`` drops untyped attribute calls, whose
+        signature-compatible dispatch is too coarse to carry locksets
+        or effects (GL14–GL17).
+        """
+        key = (qualname, confident)
+        cached = self._edges.get(key)
+        if cached is None:
+            if confident:
+                cached = [(site, target)
+                          for site, target in self.edges(qualname)
+                          if not (site.is_attr and site.recv_type is None)]
+            else:
+                info = self.functions[qualname]
+                cached = [(site, t.qualname) for site in info.calls
+                          for t in self.resolve(info, site)]
+            self._edges[key] = cached
+        return cached
+
     def callees(self, qualname: str) -> tuple[str, ...]:
         """Memoized resolved callee qualnames of one function."""
         cached = self._callees.get(qualname)
         if cached is None:
-            info = self.functions[qualname]
-            names = sorted({t.qualname for site in info.calls
-                            for t in self.resolve(info, site)})
-            cached = self._callees[qualname] = tuple(names)
+            cached = self._callees[qualname] = tuple(sorted(
+                {target for _site, target in self.edges(qualname)}))
         return cached
 
     # -- analyses -----------------------------------------------------------
@@ -874,16 +1158,9 @@ class ProjectGraph:
     def reachable_from_roots(self) -> frozenset[str]:
         """Qualnames reachable from experiment/pipeline roots (memoized)."""
         if self._reachable is None:
-            seen: set[str] = set()
-            frontier = [q for q, f in self.functions.items() if f.is_root]
-            while frontier:
-                qual = frontier.pop()
-                if qual in seen:
-                    continue
-                seen.add(qual)
-                frontier.extend(q for q in self.callees(qual)
-                                if q not in seen)
-            self._reachable = frozenset(seen)
+            self._reachable = frozenset(closure(
+                (q for q, f in self.functions.items() if f.is_root),
+                self.callees))
         return self._reachable
 
     def root_path_to(self, qualname: str) -> tuple[str, ...]:
@@ -909,21 +1186,11 @@ class ProjectGraph:
     def transitive_locks(self) -> dict[str, frozenset[str]]:
         """Locks each function may acquire, directly or via callees."""
         if self._transitive_locks is None:
-            locks: dict[str, set[str]] = {
-                q: {a.lock for a in f.lock_acqs}
-                for q, f in self.functions.items()}
-            changed = True
-            while changed:
-                changed = False
-                for qual in self.functions:
-                    mine = locks[qual]
-                    before = len(mine)
-                    for callee in self.callees(qual):
-                        mine |= locks.get(callee, set())
-                    if len(mine) != before:
-                        changed = True
+            locks = propagate(
+                {q: dict.fromkeys(a.lock for a in f.lock_acqs)
+                 for q, f in self.functions.items()}, self.edges)
             self._transitive_locks = {
-                q: frozenset(s) for q, s in locks.items()}
+                q: frozenset(held) for q, held in locks.items()}
         return self._transitive_locks
 
     def lock_order_edges(

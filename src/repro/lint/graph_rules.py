@@ -48,7 +48,7 @@ from typing import Iterator
 
 from repro.lint.dims import ENERGY, suffix_dim
 from repro.lint.engine import Finding, ModuleContext, rule
-from repro.lint.graph import ClassInfo, FunctionInfo, ProjectGraph
+from repro.lint.graph import ClassInfo, FunctionInfo, ProjectGraph, _short
 
 #: Return-annotation names that mark a result as carrying accounted
 #: energy or device time which must be folded into an aggregate.
@@ -73,11 +73,6 @@ def _graph(ctx: ModuleContext) -> ProjectGraph:
     if graph is None:  # pragma: no cover - engine always builds one
         graph = ProjectGraph()
     return graph
-
-
-def _short(qualname: str) -> str:
-    """``path::Class.name`` -> ``Class.name`` for messages."""
-    return qualname.rsplit("::", 1)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +257,7 @@ def check_energy_conservation(ctx: ModuleContext) -> Iterator[Finding]:
                             f"aggregate or bind it explicitly"))
         for target, callee, lineno, col in info.local_assigns:
             if (callee is None or target.startswith("_")
-                    or target in info.loaded_names):
+                    or target in info.name_reads):
                 continue
             if (callee in ENERGY_RESULT_TYPES
                     or suffix_dim(callee) == ENERGY):

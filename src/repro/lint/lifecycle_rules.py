@@ -26,63 +26,45 @@ per-module suppression handling (``# greenlint: ignore[GL15]``) applies.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.lint.effects import EffectAnalysis
+from repro.lint.effects import EffectAnalysis, Issue
 from repro.lint.engine import Finding, ModuleContext, rule
 
 
-def _effects(ctx: ModuleContext) -> EffectAnalysis | None:
-    return ctx.project.effects
+def _findings(ctx: ModuleContext, code: str,
+              issues: Callable[[EffectAnalysis], list[Issue]],
+              ) -> Iterator[Finding]:
+    """This module's slice of one memoized effect table, as findings."""
+    eff = ctx.project.effects
+    if eff is None:
+        return
+    for issue in issues(eff):
+        if issue.module == ctx.path:
+            yield Finding(code=code, severity="error", path=ctx.path,
+                          line=issue.line, col=issue.col,
+                          message=issue.message)
 
 
 @rule("GL15", "resource lifecycle typestate", scope="project")
 def check_resource_lifecycle(ctx: ModuleContext) -> Iterator[Finding]:
     """Acquired resources must be released, escaped, or with-managed."""
-    eff = _effects(ctx)
-    if eff is None:
-        return
-    for issue in eff.resource_issues():
-        if issue.module == ctx.path:
-            yield Finding(code="GL15", severity="error", path=ctx.path,
-                          line=issue.line, col=issue.col,
-                          message=issue.message)
+    return _findings(ctx, "GL15", lambda eff: eff.resource_issues)
 
 
 @rule("GL16", "worker exception containment", scope="project")
 def check_exception_flow(ctx: ModuleContext) -> Iterator[Finding]:
     """Only ReproError may escape HTTP handlers and thread targets."""
-    eff = _effects(ctx)
-    if eff is None:
-        return
-    for issue in eff.escape_issues():
-        if issue.module == ctx.path:
-            yield Finding(code="GL16", severity="error", path=ctx.path,
-                          line=issue.line, col=issue.col,
-                          message=issue.message)
+    return _findings(ctx, "GL16", lambda eff: eff.escape_issues)
 
 
 @rule("GL17", "retry idempotence", scope="project")
 def check_retry_safety(ctx: ModuleContext) -> Iterator[Finding]:
     """Retried code must be idempotent or annotated '# gl: idempotent'."""
-    eff = _effects(ctx)
-    if eff is None:
-        return
-    for issue in eff.retry_issues():
-        if issue.module == ctx.path:
-            yield Finding(code="GL17", severity="error", path=ctx.path,
-                          line=issue.line, col=issue.col,
-                          message=issue.message)
+    return _findings(ctx, "GL17", lambda eff: eff.retry_issues)
 
 
 @rule("GL18", "cache-key soundness", scope="project")
 def check_cache_key_soundness(ctx: ModuleContext) -> Iterator[Finding]:
     """Cached computations may not read state cache_key never digests."""
-    eff = _effects(ctx)
-    if eff is None:
-        return
-    for issue in eff.ambient_issues():
-        if issue.module == ctx.path:
-            yield Finding(code="GL18", severity="error", path=ctx.path,
-                          line=issue.line, col=issue.col,
-                          message=issue.message)
+    return _findings(ctx, "GL18", lambda eff: eff.ambient_issues)

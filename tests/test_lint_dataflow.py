@@ -137,6 +137,24 @@ class TestGL11FlowUnits:
             select=["GL11"])
         assert codes(result) == []
 
+    def test_augmented_target_reports_in_place(self):
+        # The target of ``x op= e`` is evaluated where it stands, so a
+        # mismatch inside it carries its own line and column (and a
+        # suppression on that line applies), like the plain store.
+        source = (
+            '"""Augmented targets keep their positions."""\n'
+            "\n\n"
+            "def helper(x_j):\n"
+            "    return x_j\n"
+            "\n\n"
+            "def bump(buf, a_s, e_j):\n"
+            "    buf[a_s + helper(e_j)] += 1\n"
+            "\n\n\n"
+            "def store(buf, a_s, e_j):\n"
+            "    buf[a_s + helper(e_j)] = 1\n")
+        result = lint_source(source, path="flow_mod.py", select=["GL11"])
+        assert [(f.line, f.col) for f in result.findings] == [(9, 8), (14, 8)]
+
     def test_negative_direct_mismatch_is_gl1_territory(self):
         # A purely lexical mismatch belongs to GL1; GL11 only reports
         # flows a single-module pass cannot see, so the two never
@@ -220,6 +238,30 @@ class TestGL13ComponentSums:
                         + stats.transfer_time + stats.fault_time)
             """)
         assert codes(result) == []
+
+    def test_nested_function_reported_once(self):
+        # The enclosing function's scan stops at the nested def, which
+        # is scanned on its own.
+        result = run_gl13(
+            """
+            def outer(stats: IoStats):
+                def inner(stats: IoStats) -> float:
+                    return stats.arm_time + stats.rotation_time
+                return inner
+            """)
+        assert codes(result) == ["GL13"]
+        assert result.findings[0].message.startswith("inner()")
+
+    def test_closure_sees_the_enclosing_types(self):
+        result = run_gl13(
+            """
+            def outer(stats: IoStats):
+                def inner() -> float:
+                    return stats.arm_time + stats.rotation_time
+                return inner
+            """)
+        assert codes(result) == ["GL13"]
+        assert result.findings[0].message.startswith("inner()")
 
     def test_negative_total_read_alongside(self):
         # Reading the stored total in the same function signals the

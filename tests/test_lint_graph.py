@@ -15,7 +15,7 @@ import textwrap
 from repro.cli import main
 from repro.lint import lint_paths, lint_source, load_baseline, render_json
 from repro.lint.baseline import apply_baseline
-from repro.lint.engine import ModuleContext, ProjectContext
+from repro.lint.engine import Finding, LintResult, ModuleContext, ProjectContext
 from repro.lint.graph import ProjectGraph
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
@@ -407,6 +407,27 @@ class TestShippedBaseline:
         err = capsys.readouterr().err
         assert code == 1
         assert "stale baseline entry" in err
+
+    def test_cited_line_numbers_do_not_break_a_match(self, tmp_path):
+        # Matching ignores the lines a message quotes, as it ignores the
+        # finding's own line: an edit above the cited definition must
+        # not turn its entry stale.  A different message still does.
+        live = Finding(
+            code="GL18", severity="error", path="mod.py", line=12, col=4,
+            message="f reads mutated module global 'G' (defined line 81)")
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"version": 1, "entries": [
+            {"code": "GL18", "path": "mod.py",
+             "message": "f reads mutated module global 'G' (defined line 80)"},
+            {"code": "GL18", "path": "mod.py",
+             "message": "g reads mutated module global 'G' (defined line 80)"},
+        ]}))
+        clean, stale = apply_baseline(
+            LintResult([live], files_checked=1, suppressed=0),
+            load_baseline(str(baseline)))
+        assert clean.findings == [] and clean.baselined == 1
+        assert [message for _code, _path, message in stale] == [
+            "g reads mutated module global 'G' (defined line N)"]
 
     def test_write_baseline_roundtrip(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"

@@ -9,28 +9,33 @@ import ast
 import json
 import os
 import shutil
+import textwrap
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.lint import RULES, lint_paths
+from repro.lint import cache as cache_module
 from repro.lint.cache import LintCache
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 
 class TestSelfLint:
-    def test_source_tree_is_clean(self):
-        result = lint_paths([SRC])
+    @pytest.fixture(scope="class")
+    def result(self):
+        """One uncached run over the tree, shared by the tests below."""
+        return lint_paths([SRC])
+
+    def test_source_tree_is_clean(self, result):
         formatted = "\n".join(f.format() for f in result.findings)
         assert not result.findings, f"greenlint findings:\n{formatted}"
 
-    def test_covers_the_whole_tree(self):
-        result = lint_paths([SRC])
+    def test_covers_the_whole_tree(self, result):
         assert result.files_checked >= 100
 
-    def test_intentional_suppressions_are_counted(self):
+    def test_intentional_suppressions_are_counted(self, result):
         # powercap's float-tolerance, the u16 flag mask in storage
         # format, the serving layer's three wall-clock latency reads,
         # the HTTP client's two retry-backoff sleeps, and the two
@@ -38,7 +43,6 @@ class TestSelfLint:
         # frame cache, both keyed on content, so value-deterministic)
         # are deliberate; they must stay visible as suppressions, not
         # vanish.
-        result = lint_paths([SRC])
         assert result.suppressed == 9
 
     def test_all_eighteen_rule_families_registered(self):
@@ -174,6 +178,82 @@ class TestPipelineStageReach:
         assert (cls, method) in {(c, "run") for c in PIPELINE_CLASSES}, message
 
 
+#: One positive per summary-fed rule, spread over modules so that raises,
+#: writes and reads cross module boundaries: GL13 (records), GL15 (net),
+#: GL16 (a KeyError raised in tables, escaping net's handler), GL17
+#: (retry) and GL18 (figs).
+_EFFECT_MODULES = {
+    "records.py": """
+        class IoStats:
+            arm_time: float
+            rotation_time: float
+            transfer_time: float
+            fault_time: float
+            busy_time: float
+
+        def mech_time(stats: IoStats) -> float:
+            return stats.arm_time + stats.rotation_time
+        """,
+    "tables.py": """
+        def lookup(table: dict, key: str):
+            if key not in table:
+                raise KeyError(key)
+            return table[key]
+        """,
+    "net.py": """
+        import socket
+
+        def probe() -> None:
+            sock = socket.socket()
+            sock.sendall(b"ping")
+
+        class Handler:
+            def do_GET(self) -> None:
+                self.reply(lookup(self.routes, self.path))
+        """,
+    "retry.py": """
+        import time
+
+        class RetryPolicy:
+            max_attempts = 3
+
+            def backoff_s(self, attempt: int) -> float:
+                return 0.01 * attempt
+
+        class Stats:
+            def __init__(self) -> None:
+                self.pushes = 0
+
+            def record(self) -> None:
+                self.pushes += 1
+
+        class Client:
+            def __init__(self) -> None:
+                self.retry = RetryPolicy()
+                self.stats = Stats()
+
+            def request(self) -> None:
+                for attempt in range(1, self.retry.max_attempts + 1):
+                    self.stats.record()
+                    time.sleep(self.retry.backoff_s(attempt))
+        """,
+    "figs.py": """
+        import os
+
+        _TABLE = {}
+
+        def remember(key: str, value: float) -> None:
+            _TABLE[key] = value
+
+        def scale_factor() -> float:
+            return float(os.environ.get("REPRO_SCALE", "1.0"))
+
+        def fig_energy(lab: "Lab") -> float:
+            return _TABLE.get("joules", 17.0) * scale_factor()
+        """,
+}
+
+
 class TestLintCache:
     def test_round_trip_hits_and_identical_findings(self, tmp_path):
         mod = tmp_path / "m.py"
@@ -249,6 +329,44 @@ class TestLintCache:
         assert main(["lint", "--json", "--no-cache", str(mod)]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["cache"] == {"hits": 0, "misses": 0}
+
+    def test_warm_run_keeps_the_whole_program_findings(self, tmp_path):
+        # The facts GL13 and GL15–GL18 read ride in each module's cached
+        # summary: a run where every file is a hit finds the same.
+        tree = tmp_path / "tree"
+        tree.mkdir()
+        for name, body in _EFFECT_MODULES.items():
+            (tree / name).write_text(textwrap.dedent(body))
+        cache = str(tmp_path / "cache")
+        cold = lint_paths([str(tree)], cache_dir=cache)
+        warm = lint_paths([str(tree)], cache_dir=cache)
+        assert (cold.cache_hits, cold.cache_misses) == (0, 5)
+        assert (warm.cache_hits, warm.cache_misses) == (5, 0)
+        assert {"GL13", "GL15", "GL16", "GL17", "GL18"} <= {
+            f.code for f in cold.findings}
+        assert ([f.format() for f in warm.findings]
+                == [f.format() for f in cold.findings])
+
+    def test_prune_bounds_the_cache_across_salts(self, tmp_path,
+                                                  monkeypatch):
+        # Each --select is its own salt, so each run writes a full set
+        # of entries; the run that stores them prunes the oldest.
+        monkeypatch.setattr(cache_module, "MAX_ENTRIES", 3)
+        paths = []
+        for name in ("a.py", "b.py"):
+            (tmp_path / name).write_text("import random\n")
+            paths.append(str(tmp_path / name))
+        cache = tmp_path / "cache"
+        for select in (["GL2"], ["GL3"], ["GL4"]):
+            lint_paths(paths, select=select, cache_dir=str(cache))
+            # Age every entry by an hour, so the next run's entries are
+            # strictly newer whatever the file system's mtime grain.
+            for entry in cache.glob("*.pkl"):
+                stamp = entry.stat().st_mtime - 3600
+                os.utime(entry, (stamp, stamp))
+        assert len(list(cache.glob("*.pkl"))) <= 3
+        newest = lint_paths(paths, select=["GL4"], cache_dir=str(cache))
+        assert (newest.cache_hits, newest.cache_misses) == (2, 0)
 
 
 class TestCliLint:
