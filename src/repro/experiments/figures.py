@@ -401,22 +401,26 @@ def sec5d(lab: Lab) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 def ext_devices(lab: Lab) -> ExperimentResult:
-    """Device sweep: the Table III jobs on SSD, NVRAM, and RAID 0."""
+    """Device sweep: the Table III jobs on SSD, NVRAM, and RAID 0.
+
+    The HDD row is Table III's own ``seq_read``/``rand_read`` runs: the
+    same jobs on the same node with the same ``fio/<job>`` RNG forks.
+    """
     spec = paper_testbed()
-    devices = {
-        "hdd": HddModel(spec.disk),
-        "ssd": SsdModel(),
-        "nvram": NvramModel(),
-        "raid0-4xhdd": RaidArray([HddModel(spec.disk) for _ in range(4)],
-                                 RaidLevel.RAID0),
-    }
+    table3 = lab.fio()
+    runs = {"hdd": (table3["seq_read"], table3["rand_read"])}
+    for name, device in (
+        ("ssd", SsdModel()),
+        ("nvram", NvramModel()),
+        ("raid0-4xhdd", RaidArray([HddModel(spec.disk) for _ in range(4)],
+                                  RaidLevel.RAID0)),
+    ):
+        runner = FioRunner(Node(spec, storage=device), seed=lab.seed)
+        runs[name] = (runner.run(FIO_JOBS["seq_read"]),
+                      runner.run(FIO_JOBS["rand_read"]))
     rows = []
     data: dict[str, dict[str, float]] = {}
-    for name, device in devices.items():
-        node = Node(spec, storage=device)
-        runner = FioRunner(node, seed=lab.seed)
-        seq = runner.run(FIO_JOBS["seq_read"])
-        rand = runner.run(FIO_JOBS["rand_read"])
+    for name, (seq, rand) in runs.items():
         data[name] = {
             "seq_read_s": seq.elapsed_s,
             "rand_read_s": rand.elapsed_s,

@@ -32,9 +32,9 @@ from repro.pipelines.base import (
     InterruptState,
     PipelineConfig,
     RunResult,
-    make_solver,
 )
 from repro.pipelines.loop import PipelineLoop
+from repro.pipelines.science import cached_solver
 from repro.rng import RngRegistry
 from repro.viz.colormap import COLORMAPS
 from repro.viz.render import render_field, render_with_contours
@@ -100,8 +100,8 @@ class CinemaPipeline:
         again at iteration 0 and rewrites it.
         """
         loop = PipelineLoop(self, node, rng, resume)
-        solver = make_solver(loop.rng, self.config.grid_scale,
-                             self.config.solver_sub_steps)
+        solver = cached_solver(loop.rng, self.config.grid_scale,
+                               self.config.solver_sub_steps)
         combos = self.spec.combinations
         index_rows: list[str] = ["timestep,colormap,contours,window,file"]
 

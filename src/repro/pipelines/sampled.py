@@ -24,10 +24,10 @@ from repro.pipelines.base import (
     InterruptState,
     PipelineConfig,
     RunResult,
-    make_solver,
 )
 from repro.pipelines.insitu import insitu_frame
 from repro.pipelines.loop import PipelineLoop
+from repro.pipelines.science import cached_solver
 from repro.rng import RngRegistry
 from repro.sim.grid import Grid2D
 from repro.storage.reader import DataReader
@@ -56,8 +56,8 @@ class SamplingInSituPipeline:
         point: a resumed run starts again at iteration 0.
         """
         loop = PipelineLoop(self, node, rng, resume)
-        solver = make_solver(loop.rng, self.config.grid_scale,
-                             self.config.solver_sub_steps)
+        solver = cached_solver(loop.rng, self.config.grid_scale,
+                               self.config.solver_sub_steps)
         writer = DataWriter(loop.fs, prefix="smp", chunk_bytes=CHUNK_BYTES)
         sampling_reports = []
 

@@ -27,15 +27,23 @@ alike — one buffer per dumped field.  A field that does not fit that
 layout (not C-contiguous ``<f8``, or rows wider than ``CHUNK_BYTES``)
 is recorded as a plain read-only copy.
 
-Post-processing and in-situ, the two placements every figure compares,
-take their solvers from the cache.  The others build live solvers:
-in-transit, sampling and Cinema integrate their own 2-D field (a
-restart rebuilds its initial condition from the run's seed), the
-multi-node decomposition mutates solver state directly, and the
+Every single-field 2-D placement takes its solver from the cache:
+post-processing and in-situ, the two placements every figure compares,
+and in-transit, sampling and Cinema, whose science stream is the one
+that pair uses (a restart asks for the same key again).  So a case the
+pair already ran is replayed from snapshots.  Two placements stay live:
+the multi-node decomposition mutates solver state directly, and the
 volumetric pipeline runs the 3-D solver.
+
+The cache is shared by every thread of a process (a serving tier's
+compute workers), so the get-or-create of a trajectory and the
+recording of a snapshot run under one lock: one thread records a key,
+and the others replay it.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -80,8 +88,9 @@ class ScienceCache:
 
     def __init__(self, budget_bytes: int = SNAPSHOT_BUDGET_BYTES) -> None:
         self.budget_bytes = budget_bytes
-        self._spent_bytes = 0
-        self._trajectories: dict[tuple[int, int, int], _Trajectory] = {}
+        self._lock = threading.Lock()
+        self._spent_bytes = 0  # gl: guarded-by=_lock
+        self._trajectories: dict[tuple[int, int, int], _Trajectory] = {}  # gl: guarded-by=_lock
 
     def observe(self, trajectory: _Trajectory, steps: int,
                 grid: Grid2D) -> Grid2D:
@@ -94,15 +103,16 @@ class ScienceCache:
         into a container buffer's payload and no hashing.  Past the
         budget the live grid comes back.
         """
-        if steps not in trajectory.snapshots:
-            if self._spent_bytes + grid.data.nbytes > self.budget_bytes:
-                return grid
-            snap = container_payload(grid.data)
-            if snap is None:
-                snap = grid.data.copy()
-                snap.flags.writeable = False
-            trajectory.snapshots[steps] = snap
-            self._spent_bytes += snap.nbytes
+        with self._lock:
+            if steps not in trajectory.snapshots:
+                if self._spent_bytes + grid.data.nbytes > self.budget_bytes:
+                    return grid
+                snap = container_payload(grid.data)
+                if snap is None:
+                    snap = grid.data.copy()
+                    snap.flags.writeable = False
+                trajectory.snapshots[steps] = snap
+                self._spent_bytes += snap.nbytes
         return trajectory.grid_at(steps)
 
     def solver_for(self, rng: RngRegistry, grid_scale: int = 1,
@@ -110,13 +120,14 @@ class ScienceCache:
         """A solver for the keyed trajectory: recording on first use,
         replaying afterwards."""
         key = (rng.seed, int(grid_scale), int(sub_steps))
-        trajectory = self._trajectories.get(key)
-        if trajectory is None:
-            solver = make_solver(rng, grid_scale, sub_steps)
-            trajectory = _Trajectory(rng.seed, grid_scale, sub_steps,
-                                     solver.grid, solver.dt)
-            self._trajectories[key] = trajectory
-            return _RecordingSolver(solver, trajectory, self)
+        with self._lock:
+            trajectory = self._trajectories.get(key)
+            if trajectory is None:
+                solver = make_solver(rng, grid_scale, sub_steps)
+                trajectory = _Trajectory(rng.seed, grid_scale, sub_steps,
+                                         solver.grid, solver.dt)
+                self._trajectories[key] = trajectory
+                return _RecordingSolver(solver, trajectory, self)
         return _ReplaySolver(trajectory, self)
 
 
@@ -198,7 +209,7 @@ class _ReplaySolver:
         return getattr(self._materialize(), name)
 
 
-#: The process-wide cache the post-processing and in-situ runs share.
+#: The process-wide cache the 2-D single-field placements share.
 _CACHE = ScienceCache()
 
 

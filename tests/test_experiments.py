@@ -5,6 +5,10 @@ import pytest
 from repro.calibration import PAPER
 from repro.errors import ConfigError
 from repro.experiments import EXPERIMENTS, Lab, get_experiment, run_experiment
+from repro.fingerprint import ContentMemo
+from repro.pipelines import base, science
+from repro.service.http import result_digest
+from repro.workloads.fio import FioRunner
 
 
 @pytest.fixture(scope="module")
@@ -139,3 +143,38 @@ class TestFigureShapes:
         decisions = {name: rec.technique for name, rec in data.items()}
         assert decisions["batch, random I/O, no exploration"] is Technique.IN_SITU
         assert decisions["random I/O, exploration needed"] is Technique.DATA_REORGANIZATION
+
+
+class TestReuse:
+    """Shared caches and memos change how much runs, never the bytes."""
+
+    def test_ext_devices_reads_table3_hdd_runs(self, monkeypatch):
+        lab = Lab(seed=2015)
+        table3 = lab.fio()
+        calls = []
+        run = FioRunner.run
+
+        def counting(self, job):
+            calls.append(job.name)
+            return run(self, job)
+
+        monkeypatch.setattr(FioRunner, "run", counting)
+        hdd = run_experiment("ext-devices", lab).data["hdd"]
+        assert len(calls) == 6
+        seq, rand = table3["seq_read"], table3["rand_read"]
+        assert (hdd["seq_read_s"], hdd["rand_read_s"]) == (seq.elapsed_s,
+                                                           rand.elapsed_s)
+        assert hdd["seq_read_kj"] == seq.system_energy_j / 1000
+        assert hdd["rand_read_kj"] == rand.system_energy_j / 1000
+
+    def test_caches_never_change_bytes(self, monkeypatch):
+        def digests():
+            lab = Lab(seed=2015)
+            return [result_digest(fn(lab)) for fn in EXPERIMENTS.values()]
+
+        first = digests()
+        second = digests()
+        monkeypatch.setattr(science, "_CACHE", science.ScienceCache())
+        monkeypatch.setattr(base, "_FRAME_CACHE", ContentMemo(max_entries=256))
+        cold = digests()
+        assert first and first == second == cold

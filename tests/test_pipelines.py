@@ -1,24 +1,32 @@
 """Pipeline behaviour: structure, data integrity, calibration anchors."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.calibration import CASE_STUDIES
 from repro.errors import PipelineError
-from repro.fingerprint import pinned
+from repro.fingerprint import ContentMemo, pinned
 from repro.machine import Node
 from repro.pipelines import (
+    CinemaPipeline,
     InSituPipeline,
     InTransitPipeline,
     PipelineConfig,
     PipelineRunner,
     PostProcessingPipeline,
+    SamplingInSituPipeline,
     science,
 )
 from repro.pipelines import base, loop
 from repro.rng import RngRegistry
+from repro.sim.heat import HeatSolver
 from repro.storage import DataReader
 from repro.storage.format import payload_container
+from repro.viz import render
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +282,95 @@ class TestScienceSnapshots:
             assert a.execution_time_s == b.execution_time_s
             assert a.energy_j == b.energy_j
             assert a.extra == b.extra
+
+    def test_concurrent_first_use_records_once(self, monkeypatch):
+        """Threads racing on one key: one records, the others replay, and
+        the budget is charged once per snapshot held."""
+        cache = science.ScienceCache()
+        make_solver = science.make_solver
+
+        def slow_make_solver(*args, **kwargs):
+            time.sleep(0.05)
+            return make_solver(*args, **kwargs)
+
+        monkeypatch.setattr(science, "make_solver", slow_make_solver)
+        barrier = threading.Barrier(4)
+        solvers, fields = [], []
+
+        def first_use():
+            barrier.wait()
+            solver = cache.solver_for(RngRegistry(7), 1, 4)
+            solver.step(1)
+            fields.append(solver.grid.data)
+            solvers.append(solver)
+
+        threads = [threading.Thread(target=first_use) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        kinds = sorted(type(solver).__name__ for solver in solvers)
+        assert kinds == ["_RecordingSolver"] + 3 * ["_ReplaySolver"]
+        held = [snap for trajectory in cache._trajectories.values()
+                for snap in trajectory.snapshots.values()]
+        assert len(held) == 1
+        assert cache._spent_bytes == sum(snap.nbytes for snap in held)
+        assert all(np.array_equal(field, held[0]) for field in fields)
+
+
+class TestReplay:
+    """Placements over the post/in-situ pair's physics replay it."""
+
+    @pytest.fixture
+    def primed(self, monkeypatch):
+        """Fresh caches that one post and one in-situ run of case 1 fill;
+        returns the runner and the config they ran."""
+        monkeypatch.setattr(science, "_CACHE", science.ScienceCache())
+        monkeypatch.setattr(base, "_FRAME_CACHE", ContentMemo(max_entries=256))
+        runner = PipelineRunner(seed=61)
+        config = PipelineConfig(case=CASE_STUDIES[1])
+        runner.run(PostProcessingPipeline(config))
+        runner.run(InSituPipeline(config))
+        return runner, config
+
+    @staticmethod
+    def _count(monkeypatch, owners, name: str) -> list:
+        """Count calls of ``name`` through each of ``owners``; returns the
+        list each call appends to."""
+        calls = []
+        original = getattr(owners[0], name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, counting)
+        return calls
+
+    def test_in_transit_integrates_and_renders_nothing(self, primed,
+                                                       monkeypatch):
+        runner, config = primed
+        steps = self._count(monkeypatch, [HeatSolver], "step")
+        importers = [module for module in list(sys.modules.values())
+                     if getattr(module, "__dict__", {}).get("render_field")
+                     is render.render_field]
+        renders = self._count(monkeypatch, importers, "render_field")
+        result = runner.run(InTransitPipeline(config))
+        assert renders == []
+        assert steps == []
+        assert result.images_rendered == 50
+
+    def test_sampling_integrates_nothing(self, primed, monkeypatch):
+        runner, config = primed
+        steps = self._count(monkeypatch, [HeatSolver], "step")
+        result = runner.run(SamplingInSituPipeline(config, 4))
+        assert steps == []
+        assert result.verification.ok
+
+    def test_cinema_integrates_nothing(self, primed, monkeypatch):
+        runner, config = primed
+        steps = self._count(monkeypatch, [HeatSolver], "step")
+        result = runner.run(CinemaPipeline(config))
+        assert steps == []
+        assert result.verification.ok
